@@ -8,10 +8,11 @@ Two claims with numbers attached, persisted as ``BENCH_daemon.json``:
    loads, every unit rehydrates).  We measure both on a 40-unit
    workload and report the speedup -- printed and persisted, no CI
    gate (wall-clock ratios are machine-dependent).
-2. **Schedule occupancy.**  Ready-set dispatch exists to keep workers
-   fed where wave barriers leave them idle (every wave waits for its
-   slowest unit).  We trace a ``jobs=4`` build under both schedules
-   and report ``worker_idle``'s occupancy for each.
+2. **Worker occupancy.**  Ready-set dispatch keeps workers fed: a unit
+   starts the moment its imports land, with no barrier waiting for a
+   slow sibling.  We trace a ``jobs=4`` build and report
+   ``worker_idle``'s occupancy.  (The committed ``BENCH_daemon.json``
+   also holds the since-removed wave-barrier schedule's number.)
 """
 
 import json
@@ -110,33 +111,27 @@ def test_cold_start_vs_warm_request(benchmark):
     _merge_out("latency", payload)
 
 
-def occupancy_for(schedule):
+def occupancy():
     tracer = Tracer()
     workload = generate_workload(SHAPE, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project, meter=tracer)
-    report = builder.build(jobs=4, pool="thread", schedule=schedule)
+    report = builder.build(jobs=4, pool="thread")
     assert len(report.compiled) == len(SHAPE)
     return worker_idle(tracer, jobs=4)
 
 
-def test_barrier_idle_vs_ready_set_occupancy(benchmark):
-    """Worker occupancy under wave barriers vs ready-set dispatch."""
-
-    def run():
-        return occupancy_for("wavefront"), occupancy_for("ready")
-
-    wave, ready = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ready_set_occupancy(benchmark):
+    """Worker occupancy under ready-set dispatch."""
+    ready = benchmark.pedantic(occupancy, rounds=1, iterations=1)
 
     print_table(
         "R2b: worker occupancy, jobs=4 (busy / jobs x build wall)",
         ["schedule", "busy_s", "wall_s", "idle_s", "occupancy"],
-        [["wavefront", wave["busy_seconds"], wave["build_wall_seconds"],
-          wave["idle_seconds"], wave["occupancy"]],
-         ["ready-set", ready["busy_seconds"],
+        [["ready-set", ready["busy_seconds"],
           ready["build_wall_seconds"], ready["idle_seconds"],
           ready["occupancy"]]],
     )
-    payload = {"wavefront": wave, "ready": ready}
+    payload = {"ready": ready}
     benchmark.extra_info["occupancy"] = payload
     _merge_out("occupancy", payload)
 

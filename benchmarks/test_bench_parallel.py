@@ -1,4 +1,4 @@
-"""Experiment P1 -- wavefront parallel builds (parallel-build PR).
+"""Experiment P1 -- parallel builds (parallel-build PR).
 
 A 40-unit layered workload built serially and with ``--jobs 4``.  Two
 questions:
@@ -8,8 +8,8 @@ questions:
    in tests/cm/test_parallel_determinism.py; here we re-check pids on a
    workload an order of magnitude larger).
 2. *Available parallelism*: how much concurrency does the DAG actually
-   offer?  Reported as total compile work / critical-path work over the
-   wavefronts.
+   offer?  Reported as total compile work / the work on the DAG's
+   critical path.
 
 Wall-clock speedup is recorded but NOT asserted: this box advertises
 ``os.cpu_count()`` cores and CI containers routinely give exactly one,
@@ -22,13 +22,14 @@ rather than gate on.
 import os
 import time
 
-from repro.cm import CutoffBuilder, wavefronts
+from repro.cm import CutoffBuilder
 from repro.cm.depend import analyze
+from repro.obs.critical import critical_path
 from repro.workload import generate_workload, layered
 
 from .conftest import print_table
 
-LAYERS = [8, 8, 8, 8, 8]  # 40 units, 5 waves
+LAYERS = [8, 8, 8, 8, 8]  # 40 units, 5 layers
 
 
 def _workload():
@@ -57,13 +58,13 @@ def test_parallel_vs_serial_build(benchmark):
         assert len(parallel_report.outcomes) == sum(LAYERS)
 
         # Available parallelism from the serial build's own timings:
-        # total compile work vs the critical path (per-wave maximum).
+        # total compile work vs the heaviest dependency chain.
         graph = analyze(serial_wl.project)
         compile_s = {o.name: o.times.compile_total()
                      for o in serial_report.outcomes}
         total_work = sum(compile_s.values())
-        critical = sum(max(compile_s[n] for n in wave)
-                       for wave in wavefronts(graph))
+        _chain, critical = critical_path(graph.order, graph.deps,
+                                         compile_s)
         return (serial_s, parallel_s, parallel_report.pool,
                 total_work, critical)
 
@@ -81,7 +82,7 @@ def test_parallel_vs_serial_build(benchmark):
         ["mode", "wall", "jobs", "speedup"], rows)
     print(f"DAG-available parallelism: {parallelism:.2f}x "
           f"(total work {total_work:.3f}s / "
-          f"critical path {critical:.3f}s over {len(LAYERS)} waves)")
+          f"critical path {critical:.3f}s over {len(LAYERS)} layers)")
 
     benchmark.extra_info.update({
         "units": sum(LAYERS),

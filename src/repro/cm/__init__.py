@@ -54,7 +54,6 @@ from repro.cm.parallel import (
     ReadySet,
     WorkerFaults,
     parallel_build,
-    wavefronts,
 )
 from repro.cm.supervise import (
     BuildJournal,
@@ -104,7 +103,6 @@ __all__ = [
     "ReadySet",
     "WorkerFaults",
     "parallel_build",
-    "wavefronts",
     "BuildJournal",
     "SupervisePolicy",
     "Supervisor",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from repro.cm.depend import DepGraph, analyze
 from repro.cm.project import Project
 from repro.cm.report import BuildReport, UnitOutcome
@@ -65,26 +63,28 @@ class BaseBuilder:
     def build(self, jobs: int = 1, pool: str = "process",
               supervise: bool = False, policy=None, resume: bool = False,
               checkpoint_dir: str | None = None,
-              schedule: str = "wavefront",
               offer_key=None) -> BuildReport:
         """Bring every unit up to date; returns what was done.
 
-        With ``jobs > 1`` ready units are compiled on a worker pool
-        (:mod:`repro.cm.parallel`) under either ``schedule`` --
-        ``"wavefront"`` antichain barriers or per-unit ``"ready"``
-        dispatch; the resulting statenv, bin store contents and export
-        pids are byte-identical to a serial build either way.
-        ``offer_key`` (ready schedule only) reorders the ready set's
-        offers, e.g. longest-prior-compile-first from a build profile
+        Every build runs the one ready-set engine
+        (:class:`repro.cm.supervise.Supervisor`): each unit is decided
+        once its imports have settled, and compiled inline in this
+        session at ``jobs=1`` or on a worker pool
+        (:mod:`repro.cm.parallel`) otherwise; the resulting statenv,
+        bin store contents and export pids are byte-identical for every
+        ``jobs``.  ``offer_key`` reorders the ready set's offers, e.g.
+        longest-prior-compile-first from a build profile
         (:func:`repro.obs.history.longest_first_key`) -- a pure
         scheduling hint, same bytes for every key.
 
-        ``supervise=True`` (implied by ``policy``, ``resume`` or
-        ``checkpoint_dir``) routes through the fault-tolerant
-        :mod:`repro.cm.supervise` scheduler: worker failures retry with
-        backoff, hung workers time out and reschedule, poison units
-        skip only their dependents, and with a ``checkpoint_dir`` the
-        build checkpoints every wave and can ``resume`` after a kill.
+        Unsupervised, the first failure raises: an inline compile's own
+        exception, or :class:`~repro.cm.parallel.ParallelBuildError`
+        from a pool worker.  ``supervise=True`` (implied by ``policy``,
+        ``resume`` or ``checkpoint_dir``) makes the build fault
+        tolerant: worker failures retry with backoff, hung workers time
+        out and reschedule, poison units skip only their dependents,
+        and with a ``checkpoint_dir`` the build checkpoints as it goes
+        and can ``resume`` after a kill.
         """
         if supervise or policy is not None or resume \
                 or checkpoint_dir is not None:
@@ -92,33 +92,15 @@ class BaseBuilder:
             return supervised_build(self, jobs=jobs, pool=pool,
                                     policy=policy, resume=resume,
                                     checkpoint_dir=checkpoint_dir,
-                                    schedule=schedule,
                                     offer_key=offer_key)
-        if jobs != 1 or schedule == "ready":
-            from repro.cm.parallel import parallel_build
+        from repro.cm.parallel import ParallelBuildError, parallel_build
+        try:
             return parallel_build(self, jobs=jobs, pool=pool,
-                                  schedule=schedule,
                                   offer_key=offer_key)
-        meter = self.meter
-        t0 = time.perf_counter()
-        report = BuildReport()
-        with meter.span("build", cat="build",
-                        manager=type(self).__name__, jobs=1) as sp:
-            self._begin_build()
-            if self._stable_pending:
-                with meter.span("stable-load", cat="build"):
-                    self._load_pending_stables(report)
-            else:
-                self._load_pending_stables(report)
-            with meter.span("analyze", cat="build"):
-                graph = self.analyze()
-            for name in graph.order:
-                imports = [self.units[dep] for dep in graph.deps[name]]
-                report.add(self.process(name, graph, imports))
-            sp.set(units=len(graph.order))
-        report.wall_seconds = time.perf_counter() - t0
-        self._finish_report(report)
-        return report
+        except ParallelBuildError as err:
+            if err.__cause__ is None:
+                raise
+            raise err.__cause__ from None  # an inline compile's own error
 
     def analyze(self) -> DepGraph:
         graph = analyze(self.project, restrict=self.restrict,
@@ -192,36 +174,14 @@ class BaseBuilder:
 
     # -- the decision seam -----------------------------------------------
     #
-    # ``process`` drives one unit through decide -> act -> hook.  Builders
-    # implement :meth:`decide` (a pure judgement over the record, the live
-    # import pids and the builder's own bookkeeping) and optionally
-    # :meth:`on_compiled` / :meth:`_begin_build`.  Splitting the decision
-    # from the action is what lets the parallel scheduler reuse every
-    # builder's recompilation policy unchanged: it asks ``decide`` in
-    # wavefront order and runs the compiles on a worker pool.
-
-    def process(self, name: str, graph: DepGraph,
-                imports: list[CompiledUnit]) -> UnitOutcome:
-        record = self.store.get(name)
-        action, reason = self.decide(name, graph, imports, record)
-        self.explain(name, action, reason, record, imports)
-        if action == "cached":
-            return UnitOutcome(name, "cached", "up to date")
-        with self.meter.span("unit", cat="unit", unit=name,
-                             action=action) as sp:
-            if action == "load":
-                outcome = self.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # The load degraded to a recompile (unreadable
-                    # payload): the ledger must say so.
-                    self.explain(name, "compile", outcome.reason, None,
-                                 imports)
-            else:
-                outcome = self.compile(name, imports, reason)
-            sp.set(action=outcome.action, reason=outcome.reason)
-        if outcome.action == "compiled":
-            self.on_compiled(name, graph)
-        return outcome
+    # The engine drives each unit through decide -> act -> hook.
+    # Builders implement :meth:`decide` (a pure judgement over the
+    # record, the live import pids and the builder's own bookkeeping)
+    # and optionally :meth:`on_compiled` / :meth:`_begin_build`.
+    # Splitting the decision from the action is what lets one scheduler
+    # serve every builder's recompilation policy unchanged: it asks
+    # ``decide`` in ready-set order and runs the compiles inline or on a
+    # worker pool.
 
     def explain(self, name: str, action: str, reason: str,
                 record: BinRecord | None,
@@ -284,7 +244,7 @@ class BaseBuilder:
                record: BinRecord | None) -> tuple[str, str]:
         """What should happen to ``name``: ``("compile", reason)``,
         ``("load", "")`` or ``("cached", "")``.  Must not mutate builder
-        state (the scheduler may call it ahead of the actions)."""
+        state (the engine acts on the verdict afterwards)."""
         raise NotImplementedError
 
     def on_compiled(self, name: str, graph: DepGraph) -> None:

@@ -30,11 +30,10 @@ all of that warm across requests:
   ``Project.from_directory`` would produce.  The differential matrix
   in ``tests/cm/test_daemon_determinism.py`` holds the daemon to this
   byte-for-byte.
-- **Ready-set dispatch.**  Requests build under
-  ``schedule="ready"`` by default (per-unit dispatch, no wave
-  barriers) on the supervised scheduler, so retries, timeouts, poison
-  quarantine, checkpoints/``--resume`` and the explanation ledger all
-  work for daemon-served builds.
+- **Supervised builds.**  Requests build on the supervised ready-set
+  engine (:class:`~repro.cm.supervise.Supervisor`), so retries,
+  timeouts, poison quarantine, checkpoints/``--resume`` and the
+  explanation ledger all work for daemon-served builds.
 - **Coalescing.**  Duplicate in-flight requests -- same group, same
   manager/jobs/pool -- join the build already running and get its
   report; disjoint groups build concurrently under per-group locks.
@@ -182,7 +181,7 @@ class BuildDaemon:
     """
 
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
-                 pool: str = "thread", schedule: str = "ready",
+                 pool: str = "thread",
                  policy: SupervisePolicy | None = None, meter=None,
                  checkpoint: bool = True,
                  faults: WorkerFaults | None = None,
@@ -198,7 +197,6 @@ class BuildDaemon:
         self.manager = manager
         self.jobs = max(1, jobs)
         self.pool = pool
-        self.schedule = schedule
         self.store_backend = store_backend
         self.store_url = store_url
         #: Ready-set offer order: plain sorted names, or longest prior
@@ -521,7 +519,7 @@ class BuildDaemon:
         supervisor = Supervisor(
             jobs=jobs, pool=pool,
             faults=faults if faults is not None else self.faults,
-            policy=self.policy, schedule=self.schedule,
+            policy=self.policy,
             checkpoint_dir=state.bin_dir if self.checkpoint else None,
             executor_factory=self._executor_factory,
             keep_executor=True, offer_key=offer_key)
@@ -630,9 +628,11 @@ def serve(daemon: BuildDaemon, lines, out,
             request_id = request.get("id", seq)
             op = request.get("op")
             if op == "ping":
+                # Every build is ready-set dispatched; "schedule" stays
+                # in the reply for protocol-1 clients.
                 result = {"protocol": PROTOCOL_VERSION,
                           "manager": daemon.manager,
-                          "schedule": daemon.schedule}
+                          "schedule": "ready"}
             elif op == "build":
                 group = request.get("group", default_group)
                 if not group:

@@ -1,49 +1,50 @@
-"""Wavefront-parallel builds.
+"""Parallel builds: the ready set, hermetic workers and their pools.
 
 The cutoff model makes units independent once the pids of their imports
 are fixed (§5): a unit's compilation reads only its source text and the
-statenvs of the units it imports.  Every *antichain* of the dependency
-DAG can therefore compile concurrently, and the build becomes a sequence
-of **wavefronts** -- wave *k* holds the units whose longest import chain
-has length *k*, so all of a unit's imports live in strictly earlier
-waves.
+statenvs of the units it imports.  A unit can therefore be decided and
+compiled the moment its last in-graph import has settled, concurrently
+with every other unit in the same position; :class:`ReadySet` tracks
+exactly that, and the one dispatch loop
+(:class:`repro.cm.supervise.Supervisor`) pumps it for serial, pooled,
+unsupervised and supervised builds alike.
 
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
-1. A worker compiles a unit *hermetically*: it builds a fresh session,
-   rehydrates the unit's transitive imports from their dehydrated
-   payloads (in dependency order), and runs the same
-   :func:`~repro.units.pipeline.compile_unit` the serial builder runs.
-2. Export pids are *intrinsic*: stamps are alpha-converted and extern
+1. The dispatch order is always a linear extension of the dependency
+   DAG: :class:`ReadySet` offers a unit only after every in-graph
+   import completed, so a unit is decided against its imports' final
+   pids.  At ``jobs=1`` with the default name key the offers are one
+   at a time, smallest name first -- exactly ``DepGraph.order``.
+2. A pooled worker compiles a unit *hermetically*: it builds a fresh
+   session, rehydrates the unit's transitive imports from their
+   dehydrated payloads (in dependency order), and runs the same
+   :func:`~repro.units.pipeline.compile_unit` the serial build runs in
+   the parent session.
+3. Export pids are *intrinsic*: stamps are alpha-converted and extern
    references are named by ``(pid, export index)``, so neither the pid
    nor the payload bytes depend on session history, process identity,
    or the order in which other units were compiled.
-3. The parent applies each wave's results in sorted unit order --
-   rehydrating the worker's payload into its own session, writing the
-   same :class:`~repro.cm.store.BinRecord` a serial compile would write.
+4. The parent applies each landed result by rehydrating the worker's
+   payload into its own session and writing the same
+   :class:`~repro.cm.store.BinRecord` a serial compile would write; the
+   on-disk layout (one file pair per unit plus a sorted manifest) does
+   not depend on application order.
 
 Hence statenv, store contents and export pids are equal for every jobs
-count and every scheduling interleaving; the differential determinism
-matrix in ``tests/cm/test_parallel_determinism.py`` checks this
-byte-for-byte, under fault injection.
+count, offer key and completion interleaving; the differential
+determinism matrix in ``tests/cm/test_parallel_determinism.py`` checks
+this byte-for-byte, under fault injection.
 
-Scheduling machinery: :func:`wavefronts` partitions a
-:class:`~repro.cm.depend.DepGraph` into wave barriers;
-:class:`ReadySet` is the barrier-free alternative -- a unit becomes
-dispatchable the moment its last in-graph import completes, so a slow
-unit stalls only its own dependent cone, not the whole wave.
-:func:`parallel_build` drives any :class:`~repro.cm.base.BaseBuilder`
-(its ``decide`` seam supplies the recompilation policy) over a
-:class:`ProcessPoolExecutor`, falling back to threads where process
-pools are unavailable, under either schedule (``schedule="wavefront"``
-or ``"ready"`` -- same bytes either way, because record bytes are
-intrinsic per unit and providers always complete before dependents).
-:class:`WorkerFaults` is the deterministic fault seam used by the
-crash-mid-wave tests.
+:func:`parallel_build` is the unsupervised entry point (first failure
+raises :class:`ParallelBuildError`); :class:`WorkerFaults` is the
+deterministic fault seam used by the crash and retry tests, applied
+by :func:`inject_faults` on the pool workers and inline alike.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import threading
 import time
@@ -52,46 +53,42 @@ from dataclasses import dataclass, field
 
 from repro.cm.depend import DepGraph
 from repro.cm.report import BuildReport, UnitOutcome
-from repro.obs.meter import NULL_METER
 from repro.units.pipeline import compile_unit, load_unit
 from repro.units.unit import PhaseTimes
 
 
 class ParallelBuildError(Exception):
-    """A worker failed compiling a unit.
+    """Compiling a unit failed in an unsupervised build.
 
     Worker exceptions are shipped back as (type name, message) rather
     than pickled exception objects, so a compile error on a process pool
-    surfaces identically to one on a thread pool.  ``name`` and ``wave``
-    identify the failing unit and the wavefront it was dispatched in
-    (``wave`` is -1 when unknown), so thread- and process-pool failures
-    alike point at the exact task that died.
+    surfaces identically to one on a thread pool or inline.  ``name``
+    identifies the failing unit.  A compile that ran inline in the
+    parent session carries its own exception as ``__cause__``
+    (:meth:`repro.cm.base.BaseBuilder.build` re-raises it).
     """
 
-    def __init__(self, name: str, exc_type: str, message: str,
-                 wave: int = -1):
-        where = f"{name} (wave {wave})" if wave >= 0 else name
-        super().__init__(f"{where}: {exc_type}: {message}")
+    def __init__(self, name: str, exc_type: str, message: str):
+        super().__init__(f"{name}: {exc_type}: {message}")
         self.name = name
         self.exc_type = exc_type
         self.message = message
-        self.wave = wave
 
 
 @dataclass(frozen=True)
 class WorkerFaults:
-    """Deterministic fault plan for parallel builds (test seam).
+    """Deterministic fault plan for builds (test seam).
 
-    A worker compiling a unit in ``crash_units`` dies with
-    :class:`~repro.cm.faults.InjectedCrash`; one compiling a unit in
+    A compile of a unit in ``crash_units`` dies with
+    :class:`~repro.cm.faults.InjectedCrash`; one of a unit in
     ``slow_units`` stalls for ``delay`` seconds first (slow-IO shape:
     the work completes late, it does not fail).
 
     Faults are *attempt-aware* so the supervisor's retries can be
     exercised deterministically: a crash/stall fires only while the
-    task's attempt number is below ``crash_attempts``/``slow_attempts``
-    (the defaults reproduce the original always-fire behaviour under
-    the unsupervised single-attempt build).  Units in ``poison_units``
+    attempt number is below ``crash_attempts``/``slow_attempts`` (the
+    defaults reproduce the original always-fire behaviour under the
+    unsupervised single-attempt build).  Units in ``poison_units``
     crash on *every* attempt -- the retry-budget-exhausted shape.  The
     attempt number rides inside the :class:`CompileTask` itself, so the
     plan works unchanged on process pools (no shared mutable state).
@@ -105,43 +102,34 @@ class WorkerFaults:
     poison_units: frozenset = frozenset()
 
 
-# -- wavefront schedule --------------------------------------------------
+def inject_faults(faults: WorkerFaults | None, name: str,
+                  attempt: int) -> None:
+    """Apply ``faults`` to attempt ``attempt`` of compiling ``name``:
+    stall and/or raise :class:`~repro.cm.faults.InjectedCrash`.  Called
+    by pool workers and inline compiles alike."""
+    if faults is None:
+        return
+    if name in faults.slow_units and attempt < faults.slow_attempts:
+        time.sleep(faults.delay)
+    if name in faults.poison_units or (
+            name in faults.crash_units and attempt < faults.crash_attempts):
+        from repro.cm.faults import InjectedCrash
+
+        raise InjectedCrash(
+            f"worker killed compiling {name} (attempt {attempt})")
 
 
-def wavefronts(graph: DepGraph) -> list[list[str]]:
-    """Partition ``graph.order`` into antichains.
-
-    ``wave(u) = 1 + max(wave(d) for in-graph imports d)``; imports
-    outside the graph (stable-library units, already live) do not gate.
-    Each wave is sorted, every unit's imports land in strictly earlier
-    waves, and every unit in wave k > 0 has an import in wave k-1 (the
-    partition is tight: no unit could run earlier).
-    """
-    index: dict[str, int] = {}
-    waves: list[list[str]] = []
-    for name in graph.order:
-        wave = 0
-        for dep in graph.deps.get(name, ()):
-            if dep in index:
-                wave = max(wave, index[dep] + 1)
-        index[name] = wave
-        if wave == len(waves):
-            waves.append([])
-        waves[wave].append(name)
-    return [sorted(wave) for wave in waves]
-
-
-# -- ready-set schedule --------------------------------------------------
+# -- the ready set -------------------------------------------------------
 
 
 class ReadySet:
-    """Barrier-free scheduling state over a :class:`DepGraph`.
+    """Scheduling state over a :class:`DepGraph`.
 
     Tracks, per unit, how many of its *in-graph* imports have not yet
     completed (imports outside the graph -- stable-library units,
-    already live -- do not gate, matching :func:`wavefronts`).  A unit
-    with zero outstanding imports is *ready*; :meth:`take` drains the
-    ready units in sorted name order (each offered exactly once) and
+    already live -- do not gate).  A unit with zero outstanding imports
+    is *ready*; :meth:`pop` offers the first ready unit and
+    :meth:`take` drains all of them, in offer order, each exactly once;
     :meth:`complete` retires a finished unit, releasing any dependents
     it was the last gate for.
 
@@ -150,9 +138,12 @@ class ReadySet:
     every in-graph import.  Completion means "this unit's fate is
     settled" -- compiled, loaded, cached, failed or skipped all count,
     which is how the supervisor propagates poison through the ready set
-    without deadlocking.
+    without deadlocking.  Under the default key, popping one unit at a
+    time and completing it before the next pop visits the units in
+    exactly the order of ``DepGraph.order`` (smallest ready name
+    first).
 
-    ``key`` overrides the offer order *within* the ready units (e.g.
+    ``key`` overrides the offer order (e.g.
     :func:`repro.obs.history.longest_first_key`: longest prior compile
     time first).  The order is pure scheduling: any offer order yields
     a linear extension, and record bytes are intrinsic per unit, so
@@ -162,7 +153,7 @@ class ReadySet:
 
     def __init__(self, graph: DepGraph, key=None):
         self._graph = graph
-        self._key = key
+        self._key = key if key is not None else str
         in_graph = set(graph.order)
         #: unit -> number of in-graph imports not yet completed.
         self._waiting: dict[str, int] = {
@@ -170,26 +161,28 @@ class ReadySet:
                       if dep in in_graph)
             for name in graph.order
         }
-        self._ready: list[str] = self._sorted(
-            name for name, gates in self._waiting.items() if gates == 0)
-        self._offered: set[str] = set()
+        #: Heap of (offer key, name) over the ready, unoffered units.
+        self._ready: list[tuple] = []
+        for name, gates in self._waiting.items():
+            if gates == 0:
+                self._push(name)
         self._done: set[str] = set()
 
-    def _sorted(self, names) -> list[str]:
-        return sorted(names, key=self._key) if self._key is not None \
-            else sorted(names)
+    def _push(self, name: str) -> None:
+        heapq.heappush(self._ready, (self._key(name), name))
+
+    def pop(self) -> str:
+        """Offer the first ready unit (raises IndexError when none)."""
+        return heapq.heappop(self._ready)[1]
 
     def take(self) -> list[str]:
         """Drain the currently ready units (offer order; offered
         once)."""
-        out, self._ready = self._ready, []
-        self._offered.update(out)
-        return out
+        return [self.pop() for _ in range(len(self._ready))]
 
     def complete(self, name: str) -> list[str]:
         """Retire ``name``; returns the units this made ready (offer
-        order).  The newly ready units also join the next
-        :meth:`take`."""
+        order).  The newly ready units also join the ready set."""
         if name in self._done:
             return []
         self._done.add(name)
@@ -201,9 +194,8 @@ class ReadySet:
             self._waiting[dependent] = gates - 1
             if gates - 1 == 0:
                 released.append(dependent)
-        released = self._sorted(released)
-        self._ready = self._sorted(self._ready + released)
-        return released
+                self._push(dependent)
+        return sorted(released, key=self._key)
 
     def has_ready(self) -> bool:
         return bool(self._ready)
@@ -219,10 +211,11 @@ class ReadySet:
 # -- the worker ----------------------------------------------------------
 #
 # Workers are hermetic: each carries its own Session and a cache of
-# rehydrated units keyed by (name, pid), so repeated waves do not re-pay
-# rehydration.  State is thread-local, which covers both pool kinds: a
-# process-pool worker is a single thread, a thread-pool worker must not
-# share a session (stamp registries are not thread-safe) with siblings.
+# rehydrated units keyed by (name, pid), so repeated compiles do not
+# re-pay rehydration.  State is thread-local, which covers both pool
+# kinds: a process-pool worker is a single thread, a thread-pool worker
+# must not share a session (stamp registries are not thread-safe) with
+# siblings.
 
 
 @dataclass(frozen=True)
@@ -292,19 +285,7 @@ def compile_task(task: CompileTask) -> CompileResult:
     started = time.perf_counter()
     worker = f"w{os.getpid()}/{threading.get_ident()}"
     try:
-        if task.faults is not None:
-            plan = task.faults
-            if (task.name in plan.slow_units
-                    and task.attempt < plan.slow_attempts):
-                time.sleep(plan.delay)
-            if task.name in plan.poison_units or (
-                    task.name in plan.crash_units
-                    and task.attempt < plan.crash_attempts):
-                from repro.cm.faults import InjectedCrash
-
-                raise InjectedCrash(
-                    f"worker killed compiling {task.name} "
-                    f"(attempt {task.attempt})")
+        inject_faults(task.faults, task.name, task.attempt)
         session, cache = _worker_state()
         live = {}
         for dep in task.closure:
@@ -343,8 +324,8 @@ def make_executor(jobs: int, pool: str = "process"):
 
     ``pool`` is ``"process"`` (the default; probed, because process
     pools fail on platforms without working semaphores or fork/spawn),
-    ``"thread"``, or ``"inline"`` (run tasks synchronously in the
-    caller -- the jobs=1 path through the worker code).  Process-pool
+    ``"thread"``, or ``"inline"`` (no pool: the engine compiles in the
+    parent session, as it always does at ``jobs=1``).  Process-pool
     failure degrades to threads, never to an error.
     """
     if pool == "inline" or jobs <= 1:
@@ -367,225 +348,39 @@ def make_executor(jobs: int, pool: str = "process"):
     raise ValueError(f"unknown pool kind {pool!r}")
 
 
-# -- the parallel build loop ----------------------------------------------
+def wait_first(futures, timeout: float | None = None) -> set:
+    """Block until at least one of ``futures`` is done (or ``timeout``
+    seconds pass); returns the done ones."""
+    return wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)[0]
+
+
+# -- the unsupervised entry point ----------------------------------------
 
 
 def parallel_build(builder, jobs: int = 2, pool: str = "process",
                    faults: WorkerFaults | None = None,
-                   schedule: str = "wavefront",
                    offer_key=None) -> BuildReport:
-    """Bring ``builder``'s project up to date on a worker pool.
+    """Bring ``builder``'s project up to date on ``jobs`` workers.
 
-    ``schedule="wavefront"`` (the default) runs wave barriers: per
-    wave, ask the builder's ``decide`` seam what each unit needs
-    (cached / load / compile), rehydrate loads in the parent (cheap),
-    dispatch compiles to the pool, then apply results in sorted unit
-    order.  ``schedule="ready"`` drops the barrier: each unit is
-    decided and dispatched the moment its last in-graph import lands,
-    and results are applied as they complete.  Both leave a store
-    byte-identical to a serial build's regardless of jobs count or
-    completion order -- record bytes are intrinsic per unit, a unit's
-    providers always complete before it is decided, and the on-disk
-    layout (one file pair per unit plus a sorted manifest) does not
-    depend on application order.
-
-    ``offer_key`` (ready schedule only) reorders the ready set's
+    The one ready-set engine (:class:`repro.cm.supervise.Supervisor`)
+    under its fail-fast policy: each unit is decided the moment its
+    last in-graph import lands, compiles run on the pool (inline in the
+    parent session at ``jobs=1`` or ``pool="inline"``), and results are
+    applied as they complete.  ``offer_key`` reorders the ready set's
     offers -- e.g. longest-prior-compile-first from a build profile
     (:func:`repro.obs.history.longest_first_key`); None keeps sorted
-    name order.  Purely a scheduling hint: store bytes are identical
-    for every key.
+    name order.  Store bytes are identical for every jobs count and
+    key.
 
-    A worker failure raises :class:`ParallelBuildError` after every
+    A failure raises :class:`ParallelBuildError` after every
     already-landed result was fully applied; the in-memory store then
     holds exactly a valid prefix of the build, and saving it degrades
     to the store's ordinary crash-safety guarantees.
     """
-    if schedule not in ("wavefront", "ready"):
-        raise ValueError(f"unknown schedule {schedule!r} "
-                         f"(want 'wavefront' or 'ready')")
-    meter = getattr(builder, "meter", NULL_METER)
-    t0 = time.perf_counter()
-    report = BuildReport(jobs=jobs, schedule=schedule)
-    with meter.span("build", cat="build",
-                    manager=type(builder).__name__, jobs=jobs,
-                    schedule=schedule) as bsp:
-        builder._begin_build()
-        builder._load_pending_stables(report)
-        with meter.span("analyze", cat="build"):
-            graph = builder.analyze()
-        executor, using = make_executor(jobs, pool)
-        report.pool = using
-        bsp.set(pool=using, units=len(graph.order))
-        try:
-            if schedule == "ready":
-                _run_ready(builder, graph, executor, faults, report,
-                           meter, offer_key=offer_key)
-            else:
-                for wave_index, wave in enumerate(wavefronts(graph)):
-                    with meter.span("wave", cat="wave", index=wave_index,
-                                    size=len(wave)) as wsp:
-                        _run_wave(builder, graph, wave, wave_index,
-                                  executor, faults, report, meter, wsp)
-            report.wall_seconds = time.perf_counter() - t0
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-    builder._finish_report(report)
-    return report
+    from repro.cm.supervise import FAIL_FAST, Supervisor
 
-
-def _run_wave(builder, graph: DepGraph, wave: list[str], wave_index: int,
-              executor, faults: WorkerFaults | None, report: BuildReport,
-              meter, wsp) -> None:
-    """Decide, dispatch and apply one wavefront."""
-    pending: list[tuple[str, str]] = []
-    for name in wave:
-        report.dispatch_order.append(name)
-        record = builder.store.get(name)
-        imports = [builder.units[d] for d in graph.deps[name]]
-        action, reason = builder.decide(name, graph, imports, record)
-        builder.explain(name, action, reason, record, imports)
-        if action == "cached":
-            report.add(UnitOutcome(name, "cached", "up to date"))
-        elif action == "load":
-            outcome = builder.load(name, record, imports)
-            if outcome.action == "compiled":
-                # Unreadable payload degraded to a recompile.
-                builder.explain(name, "compile", outcome.reason, None,
-                                imports)
-                builder.on_compiled(name, graph)
-            report.add(outcome)
-        else:
-            pending.append((name, reason))
-    wsp.set(dispatched=len(pending))
-    if not pending:
-        return
-    results: dict[str, CompileResult] = {}
-    if executor is None:
-        for name, _reason in pending:
-            results[name] = compile_task(
-                _make_task(builder, graph, name, faults))
-    else:
-        futures = {}
-        try:
-            for name, _reason in pending:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                wave=wave_index)
-                futures[name] = executor.submit(
-                    compile_task,
-                    _make_task(builder, graph, name, faults))
-            for name, future in futures.items():
-                results[name] = future.result()
-        except BaseException:
-            # A submit or collection failure must not leak in-flight
-            # tasks: cancel everything still queued before unwinding
-            # (parallel_build's ``finally`` then joins the workers).
-            executor.shutdown(wait=False, cancel_futures=True)
-            raise
-    for name, reason in pending:  # wave is sorted: deterministic
-        result = results[name]
-        if meter.enabled and result.worker:
-            # Occupancy: when and where the worker actually ran, on
-            # its own track (perf_counter is host-wide on this
-            # platform, so process-pool times line up too).
-            meter.complete_span("worker-compile", result.started,
-                                result.ended, cat="worker",
-                                track=result.worker, unit=name,
-                                wave=wave_index)
-        if result.error is not None:
-            if executor is not None:
-                # The wave is aborting: cancel any queued siblings so
-                # a failed wave cannot leak orphaned in-flight tasks.
-                executor.shutdown(wait=False, cancel_futures=True)
-            raise ParallelBuildError(name, *result.error,
-                                     wave=wave_index)
-        with meter.span("apply", cat="unit", unit=name):
-            report.add(_apply_result(builder, graph, name, reason,
-                                     result))
-
-
-def _run_ready(builder, graph: DepGraph, executor,
-               faults: WorkerFaults | None, report: BuildReport,
-               meter, offer_key=None) -> None:
-    """Per-unit ready-set dispatch: decide each unit the moment its
-    last in-graph import completes, apply worker results as they land.
-
-    Landed results are applied under the landing loop, in sorted name
-    order within each completion batch -- the order does not matter for
-    store bytes (intrinsic pids, per-unit file pairs, sorted manifest)
-    but keeping it sorted makes traces reproducible for a fixed
-    completion pattern.
-    """
-    ready = ReadySet(graph, key=offer_key)
-    active: dict[str, object] = {}  # name -> future
-    reasons: dict[str, str] = {}
-
-    def land(name: str, result: CompileResult) -> None:
-        if meter.enabled and result.worker:
-            meter.complete_span("worker-compile", result.started,
-                                result.ended, cat="worker",
-                                track=result.worker, unit=name)
-        if result.error is not None:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-            raise ParallelBuildError(name, *result.error)
-        with meter.span("apply", cat="unit", unit=name):
-            report.add(_apply_result(builder, graph, name,
-                                     reasons.pop(name, ""), result))
-        ready.complete(name)
-
-    while True:
-        for name in ready.take():
-            report.dispatch_order.append(name)
-            record = builder.store.get(name)
-            imports = [builder.units[d] for d in graph.deps[name]]
-            action, reason = builder.decide(name, graph, imports, record)
-            builder.explain(name, action, reason, record, imports)
-            if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                ready.complete(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # Unreadable payload degraded to a recompile.
-                    builder.explain(name, "compile", outcome.reason,
-                                    None, imports)
-                    builder.on_compiled(name, graph)
-                report.add(outcome)
-                ready.complete(name)
-            else:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                seq=len(report.dispatch_order))
-                reasons[name] = reason
-                if executor is None:
-                    land(name, compile_task(
-                        _make_task(builder, graph, name, faults)))
-                else:
-                    try:
-                        active[name] = executor.submit(
-                            compile_task,
-                            _make_task(builder, graph, name, faults))
-                    except BaseException:
-                        executor.shutdown(wait=False,
-                                          cancel_futures=True)
-                        raise
-        if ready.has_ready():
-            continue  # completions above released more units
-        if not active:
-            break
-        finished, _ = wait(active.values(),
-                           return_when=FIRST_COMPLETED)
-        for name in sorted(n for n, f in active.items()
-                           if f in finished):
-            future = active.pop(name)
-            try:
-                result = future.result()
-            except BaseException:
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-            land(name, result)
+    return Supervisor(jobs=jobs, pool=pool, faults=faults,
+                      policy=FAIL_FAST, offer_key=offer_key).run(builder)
 
 
 def _make_task(builder, graph: DepGraph, name: str,

@@ -36,17 +36,16 @@ class UnitOutcome:
 class BuildReport:
     outcomes: list[UnitOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Worker count and pool kind ("serial" for the classic build loop;
-    #: "process"/"thread"/"inline" for wavefront builds).
+    #: Worker count and pool kind ("inline" when compiles ran in the
+    #: parent session; "process"/"thread" for worker pools).
     jobs: int = 1
-    pool: str = "serial"
-    #: How compiles were ordered: "wavefront" (antichain barriers; also
-    #: what the serial loop degenerates to) or "ready" (per-unit
-    #: ready-set dispatch).  Same store bytes either way.
-    schedule: str = "wavefront"
-    #: The order units were *decided* in -- for wavefront builds this is
-    #: wave-by-wave sorted order; for ready-set builds it is the actual
-    #: dispatch sequence.  Always a linear extension of the dep graph
+    pool: str = "inline"
+    #: How compiles were ordered.  Always "ready" (per-unit ready-set
+    #: dispatch); kept for the daemon wire format and build profiles.
+    schedule: str = "ready"
+    #: The order units were *decided* in: the ready set's actual
+    #: offer sequence (``DepGraph.order`` for a ``jobs=1`` build under
+    #: the default key).  Always a linear extension of the dep graph
     #: (the property test in ``tests/property/test_ready_set.py`` holds
     #: the scheduler to that).
     dispatch_order: list[str] = field(default_factory=list)

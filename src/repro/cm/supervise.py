@@ -1,11 +1,15 @@
-"""Supervised wavefront builds: fault tolerance as a scheduling policy.
+"""The build engine: one supervised ready-set pump for every build.
 
-:func:`parallel_build` treats the first worker failure as fatal -- fine
-for a developer's desk, wrong for an unattended build service.  This
-module wraps the same wavefront machinery (same ``decide`` seam, same
-hermetic workers, same sorted-order application, hence the same
-byte-identical stores) in a :class:`Supervisor` that treats failure as
-an *event to schedule around*:
+Every build -- serial or ``--jobs N``, unsupervised or supervised,
+batch or daemon-served -- runs through :class:`Supervisor`.  It pumps a
+:class:`~repro.cm.parallel.ReadySet`: a unit is decided (the builder's
+``decide`` seam) the moment its last in-graph import settles; a
+compile runs on the worker pool, or inline in the parent session at
+``jobs=1`` and on the inline rung of the degradation ladder.  The
+:class:`SupervisePolicy` says what a failure means.  Unsupervised
+builds use :data:`FAIL_FAST`: one attempt, and the first failure
+raises :class:`~repro.cm.parallel.ParallelBuildError`.  Supervised
+builds treat failure as an *event to schedule around*:
 
 - **Retry with backoff.**  A failed attempt whose exception type is in
   the policy's ``retryable`` set is resubmitted after a capped
@@ -22,19 +26,19 @@ an *event to schedule around*:
   every independent subgraph builds to completion.  A dying pool
   degrades process -> thread -> inline instead of aborting.
 - **Resume.**  With a ``checkpoint_dir``, the store is saved and a
-  :class:`BuildJournal` of completed units written after every wave, so
-  a killed build's next run (``resume=True``) reuses everything that
-  finished -- the crash-safe store carries the artifacts, the journal
-  proves which units completed and feeds the report's ``resumed``
-  count.
+  :class:`BuildJournal` of completed units written at every quiet
+  point of the pump, so a killed build's next run (``resume=True``)
+  reuses everything that finished -- the crash-safe store carries the
+  artifacts, the journal proves which units completed and feeds the
+  report's ``resumed`` count.
 
 Everything the supervisor does is observable: ``retry`` / ``timeout`` /
 ``degrade`` / ``poison`` / ``skip`` events and ``retry-backoff`` spans
 flow through the builder's meter, and every casualty gets a typed
 ledger decision (``--explain`` says exactly why a unit was skipped).
 
-Determinism: retries re-run the same hermetic compile, and export pids
-are intrinsic, so a build that survives any number of transient faults
+Determinism: retries re-run the same compile, and export pids are
+intrinsic, so a build that survives any number of transient faults
 still produces byte-identical store contents to a clean serial build
 (``tests/cm/test_supervise.py`` and the hypothesis property in
 ``tests/property/test_supervised.py`` check this).
@@ -45,21 +49,21 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cm.depend import DepGraph
 from repro.cm.faults import FileSystem
 from repro.cm.parallel import (
     CompileResult,
+    ParallelBuildError,
     ReadySet,
     WorkerFaults,
     _apply_result,
     _make_task,
     compile_task,
+    inject_faults,
     make_executor,
-    wavefronts,
+    wait_first,
 )
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import JOURNAL_NAME, TMP_SUFFIX, StoreError
@@ -88,7 +92,9 @@ class SupervisePolicy:
     separates attempts.  ``timeout`` (pooled builds only; the inline
     tier cannot preempt) is the per-attempt wall-clock deadline.
     ``retryable`` is the typed budget: exception *type names* worth
-    retrying.
+    retrying.  ``fail_fast`` replaces retry and poison with raising
+    :class:`~repro.cm.parallel.ParallelBuildError` on the first
+    failure -- the unsupervised build (:data:`FAIL_FAST`).
     """
 
     retries: int = 2
@@ -97,6 +103,11 @@ class SupervisePolicy:
     backoff_cap: float = 0.25
     timeout: float | None = None
     retryable: tuple = DEFAULT_RETRYABLE
+    fail_fast: bool = False
+
+
+#: The unsupervised build's policy: one attempt, first failure raises.
+FAIL_FAST = SupervisePolicy(retries=0, retry_total=0, fail_fast=True)
 
 
 class BuildJournal:
@@ -160,11 +171,15 @@ _NEXT_POOL = {"process": "thread", "thread": "inline", "inline": "inline"}
 
 
 class Supervisor:
-    """Drives one fault-tolerant wavefront build (see module docstring).
+    """Drives one build through the ready-set pump (see module
+    docstring).
 
     ``executor_factory`` is a test seam with :func:`make_executor`'s
-    signature; ``max_waves`` stops the build after N checkpointed waves
-    -- the deterministic stand-in for ``kill -9`` in the resume tests.
+    signature; ``max_waves`` stops the build after N checkpoints -- the
+    deterministic stand-in for ``kill -9`` in the resume tests.
+    ``offer_key`` reorders the ready set's offers (e.g. longest-first
+    from a build profile); None keeps sorted name order.  Scheduling
+    only -- store bytes are identical for every key.
     """
 
     def __init__(self, jobs: int = 2, pool: str = "process",
@@ -173,12 +188,8 @@ class Supervisor:
                  resume: bool = False, checkpoint_dir: str | None = None,
                  max_waves: int | None = None,
                  executor_factory=make_executor,
-                 schedule: str = "wavefront",
                  keep_executor: bool = False,
                  offer_key=None):
-        if schedule not in ("wavefront", "ready"):
-            raise ValueError(f"unknown schedule {schedule!r} "
-                             f"(want 'wavefront' or 'ready')")
         self.jobs = jobs
         self.pool = pool
         self.faults = faults
@@ -187,10 +198,6 @@ class Supervisor:
         self.checkpoint_dir = checkpoint_dir
         self.max_waves = max_waves
         self.executor_factory = executor_factory
-        self.schedule = schedule
-        #: Ready-set offer order override (e.g. longest-first from a
-        #: build profile); None keeps sorted name order.  Scheduling
-        #: only -- store bytes are identical for every key.
         self.offer_key = offer_key
         #: When True the executor outlives the build -- the daemon's
         #: warm-pool seam (:mod:`repro.cm.daemon` hands a cached
@@ -205,21 +212,31 @@ class Supervisor:
         #: (a poisoned unit maps to itself).
         self.dead: dict[str, str] = {}
         self.retry_spent = 0
-        self.report = BuildReport(jobs=jobs, schedule=schedule)
+        self.report = BuildReport(jobs=jobs)
         self.journal: BuildJournal | None = None
         self.meter = NULL_METER
 
-    # -- the build loop ---------------------------------------------------
+    # -- the build --------------------------------------------------------
 
     def build(self, builder) -> BuildReport:
+        """The entry point of supervised and daemon-served builds:
+        :meth:`run` under its own name.  ``BaseBuilder.build`` calls
+        :meth:`run` directly, so a profiler wrapping both ``build``
+        methods (``perfbench/tracing.py``) sees each build once."""
+        return self.run(builder)
+
+    def run(self, builder) -> BuildReport:
+        """Bring ``builder``'s project up to date; returns the report."""
         meter = self.meter = getattr(builder, "meter", NULL_METER)
         t0 = time.perf_counter()
         report = self.report
         with meter.span("build", cat="build",
                         manager=type(builder).__name__, jobs=self.jobs,
-                        supervised=True, schedule=self.schedule) as bsp:
+                        supervised=not self.policy.fail_fast) as bsp:
             builder._begin_build()
-            builder._load_pending_stables(report)
+            if builder._stable_pending:
+                with meter.span("stable-load", cat="build"):
+                    builder._load_pending_stables(report)
             with meter.span("analyze", cat="build"):
                 graph = builder.analyze()
             self.executor, self.using = self.executor_factory(
@@ -227,28 +244,17 @@ class Supervisor:
             report.pool = self.using
             bsp.set(pool=self.using, units=len(graph.order))
             if self.checkpoint_dir is not None:
-                if self.resume:
-                    self.journal = BuildJournal.load(
-                        self.checkpoint_dir, builder.store.fs)
-                else:
-                    self.journal = BuildJournal(self.checkpoint_dir,
-                                                builder.store.fs)
-            killed = False
+                journal = BuildJournal.load if self.resume else BuildJournal
+                self.journal = journal(self.checkpoint_dir,
+                                       builder.store.fs)
             try:
-                if self.schedule == "ready":
-                    killed = self._run_ready_build(builder, graph)
-                else:
-                    for wave_index, wave in enumerate(wavefronts(graph)):
-                        with meter.span("wave", cat="wave",
-                                        index=wave_index,
-                                        size=len(wave)) as wsp:
-                            done = self._run_wave(builder, graph, wave,
-                                                  wave_index, wsp)
-                        self._checkpoint(builder, done)
-                        if self.max_waves is not None \
-                                and wave_index + 1 >= self.max_waves:
-                            killed = True  # simulated kill (test seam)
-                            break
+                killed = self._pump(builder, graph)
+                # Report outcomes in graph order, whatever order they
+                # landed in, so a report reads the same at every jobs
+                # count; ``dispatch_order`` keeps the actual sequence.
+                # Stable-library outcomes (not in the graph) stay first.
+                position = {name: k for k, name in enumerate(graph.order)}
+                report.outcomes.sort(key=lambda o: position.get(o.name, -1))
                 report.wall_seconds = time.perf_counter() - t0
             finally:
                 if self.executor is not None and not self.keep_executor:
@@ -267,92 +273,27 @@ class Supervisor:
                     meter.counter(f"supervise.{key}", value)
         return report
 
-    # -- one wave ---------------------------------------------------------
+    # -- the pump ---------------------------------------------------------
 
-    def _run_wave(self, builder, graph: DepGraph, wave: list[str],
-                  wave_index: int, wsp) -> list[str]:
-        """Decide, dispatch-with-supervision, apply.  Returns the units
-        that are up to date after this wave (for the journal)."""
-        meter = self.meter
-        report = self.report
-        done: list[str] = []
-        pending: list[tuple[str, str]] = []
-        for name in wave:
-            culprit = self._poisoned_import(graph, name)
-            if culprit is not None:
-                self._skip(builder, name, culprit)
-                continue
-            record = builder.store.get(name)
-            imports = [builder.units[d] for d in graph.deps[name]]
-            action, reason = builder.decide(name, graph, imports, record)
-            builder.explain(name, action, reason, record, imports)
-            if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                self._count_resumed(name)
-                done.append(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # Unreadable payload degraded to a recompile.
-                    builder.explain(name, "compile", outcome.reason,
-                                    None, imports)
-                    builder.on_compiled(name, graph)
-                else:
-                    self._count_resumed(name)
-                report.add(outcome)
-                done.append(name)
-            else:
-                pending.append((name, reason))
-        wsp.set(dispatched=len(pending))
-        if not pending:
-            return done
-        results = self._execute(builder, graph, pending, wave_index)
-        for name, reason in pending:  # wave is sorted: deterministic
-            got = results.get(name)
-            if got is None:
-                continue  # poisoned: already reported
-            result = got
-            if meter.enabled and result.worker:
-                meter.complete_span("worker-compile", result.started,
-                                    result.ended, cat="worker",
-                                    track=result.worker, unit=name,
-                                    wave=wave_index,
-                                    attempt=result.attempt)
-            with meter.span("apply", cat="unit", unit=name):
-                report.add(_apply_result(builder, graph, name, reason,
-                                         result))
-            done.append(name)
-        return done
+    def _pump(self, builder, graph: DepGraph) -> bool:
+        """The one dispatch loop: pump the ready set until every unit
+        has settled.
 
-    def _poisoned_import(self, graph: DepGraph, name: str) -> str | None:
-        for dep in graph.deps.get(name, ()):
-            if dep in self.dead:
-                return self.dead[dep]
-        return None
+        A unit is *admitted* (decided, then found cached, loaded, or
+        compiled) when the ready set offers it.  Every fate -- applied,
+        cached, loaded, failed, skipped -- completes the unit in the
+        :class:`~repro.cm.parallel.ReadySet`, so poison flows through
+        the graph: dependents of a poisoned unit become ready, are
+        admitted, and are skipped with a ledger entry naming the
+        culprit.  Pooled compiles land as their futures finish, in
+        sorted name order within each batch; an inline compile
+        completes before the next offer, so ``jobs=1`` admits exactly
+        ``graph.order`` under the default key.
 
-    def _count_resumed(self, name: str) -> None:
-        if self.resume and self.journal is not None \
-                and name in self.journal.completed:
-            self.report.resumed += 1
-
-    # -- supervised ready-set dispatch ------------------------------------
-
-    def _run_ready_build(self, builder, graph: DepGraph) -> bool:
-        """The whole build as one supervised ready-set pump.
-
-        A unit is *admitted* (decided, then dispatched / settled
-        inline) the moment its last in-graph import completes; every
-        fate -- applied, cached, loaded, failed, skipped -- completes
-        the unit in the :class:`~repro.cm.parallel.ReadySet`, so poison
-        flows through the graph exactly as it does wave-by-wave:
-        dependents of a poisoned unit become ready, are admitted, and
-        are skipped with a ledger entry naming the culprit.
-
-        Checkpointing happens at *quiet points*: whenever the admit
-        queue drains and at least one unit finished since the last
-        checkpoint.  ``max_waves`` counts those checkpoints -- the same
-        simulated-kill seam the resume tests use for wave builds.
-        Returns True when the kill seam fired.
+        Checkpointing happens at *quiet points*: whenever nothing is
+        ready and at least one unit finished since the last
+        checkpoint.  ``max_waves`` counts checkpoints.  Returns True
+        when that simulated kill fired.
         """
         meter = self.meter
         policy = self.policy
@@ -360,28 +301,25 @@ class Supervisor:
         ready = ReadySet(graph, key=self.offer_key)
         active: dict[str, tuple] = {}  # name -> (future, attempt, deadline, reason)
         queue: list[tuple] = []  # (resume_at, name, attempt, reason)
-        admit_queue: deque[str] = deque()
-        done_since_checkpoint: list[str] = []
+        done: list[str] = []  # settled since the last checkpoint
+        failure: ParallelBuildError | None = None  # fail-fast: the first
         checkpoints = 0
 
-        def finish(name: str) -> None:
-            admit_queue.extend(ready.complete(name))
+        def finish(name: str, outcome: UnitOutcome) -> None:
+            report.add(outcome)
+            done.append(name)
+            ready.complete(name)
 
-        def settle(name: str, attempt: int, reason: str,
-                   result: CompileResult) -> None:
-            if result.error is None:
-                if meter.enabled and result.worker:
-                    meter.complete_span("worker-compile", result.started,
-                                        result.ended, cat="worker",
-                                        track=result.worker, unit=name,
-                                        attempt=result.attempt)
-                with meter.span("apply", cat="unit", unit=name):
-                    report.add(_apply_result(builder, graph, name,
-                                             reason, result))
-                done_since_checkpoint.append(name)
-                finish(name)
+        def fail(name: str, attempt: int, reason: str, exc_type: str,
+                 message: str, cause: BaseException | None = None) -> None:
+            nonlocal failure
+            if policy.fail_fast:
+                # Raised by the pump once the rest of this batch of
+                # landed results has been applied.
+                if failure is None:
+                    failure = ParallelBuildError(name, exc_type, message)
+                    failure.__cause__ = cause
                 return
-            exc_type, message = result.error
             retryable = exc_type in policy.retryable
             if retryable and attempt < policy.retries \
                     and self.retry_spent < policy.retry_total:
@@ -402,14 +340,41 @@ class Supervisor:
             else:
                 self._poison(builder, name, exc_type, message, attempt,
                              retryable)
-                finish(name)
+                ready.complete(name)
+
+        def land(name: str, attempt: int, reason: str,
+                 result: CompileResult) -> None:
+            if result.error is not None:
+                fail(name, attempt, reason, *result.error)
+                return
+            if meter.enabled and result.worker:
+                meter.complete_span("worker-compile", result.started,
+                                    result.ended, cat="worker",
+                                    track=result.worker, unit=name,
+                                    attempt=result.attempt)
+            with meter.span("apply", cat="unit", unit=name):
+                outcome = _apply_result(builder, graph, name, reason,
+                                        result)
+            finish(name, outcome)
+
+        def compile_inline(name: str, attempt: int, reason: str) -> None:
+            # In the parent session, as a serial build always has: no
+            # worker round trip, no second rehydration.
+            imports = [builder.units[d] for d in graph.deps[name]]
+            try:
+                with meter.span("unit", cat="unit", unit=name,
+                                action="compile") as sp:
+                    inject_faults(self.faults, name, attempt)
+                    outcome = builder.compile(name, imports, reason)
+                    sp.set(action=outcome.action, reason=outcome.reason)
+            except Exception as err:
+                fail(name, attempt, reason, type(err).__name__, str(err),
+                     err)
+                return
+            builder.on_compiled(name, graph)
+            finish(name, outcome)
 
         def launch(name: str, attempt: int, reason: str) -> None:
-            if self.executor is None:
-                settle(name, attempt, reason, compile_task(
-                    _make_task(builder, graph, name, self.faults,
-                               attempt=attempt)))
-                return
             deadline = (time.perf_counter() + policy.timeout
                         if policy.timeout is not None else None)
             while self.executor is not None:
@@ -418,61 +383,59 @@ class Supervisor:
                         compile_task,
                         _make_task(builder, graph, name, self.faults,
                                    attempt=attempt))
-                    active[name] = (future, attempt, deadline, reason)
-                    return
                 except BaseException as err:
                     self._degrade(f"submit failed: "
                                   f"{type(err).__name__}: {err}")
-            # Degraded all the way to inline: run it here.
-            settle(name, attempt, reason, compile_task(
-                _make_task(builder, graph, name, self.faults,
-                           attempt=attempt)))
+                    continue
+                active[name] = (future, attempt, deadline, reason)
+                return
+            compile_inline(name, attempt, reason)
 
         def admit(name: str) -> None:
             report.dispatch_order.append(name)
             culprit = self._poisoned_import(graph, name)
             if culprit is not None:
                 self._skip(builder, name, culprit)
-                finish(name)
+                ready.complete(name)
                 return
             record = builder.store.get(name)
             imports = [builder.units[d] for d in graph.deps[name]]
             action, reason = builder.decide(name, graph, imports, record)
             builder.explain(name, action, reason, record, imports)
+            if action == "compile":
+                if meter.enabled:
+                    meter.event("dispatch", cat="sched", unit=name,
+                                seq=len(report.dispatch_order))
+                launch(name, 0, reason)
+                return
             if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                self._count_resumed(name)
-                done_since_checkpoint.append(name)
-                finish(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
+                outcome = UnitOutcome(name, "cached", "up to date")
+            else:
+                with meter.span("unit", cat="unit", unit=name,
+                                action="load") as sp:
+                    outcome = builder.load(name, record, imports)
+                    sp.set(action=outcome.action, reason=outcome.reason)
                 if outcome.action == "compiled":
                     # Unreadable payload degraded to a recompile.
                     builder.explain(name, "compile", outcome.reason,
                                     None, imports)
                     builder.on_compiled(name, graph)
-                else:
-                    self._count_resumed(name)
-                report.add(outcome)
-                done_since_checkpoint.append(name)
-                finish(name)
-            else:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                seq=len(report.dispatch_order))
-                launch(name, 0, reason)
+            if outcome.action != "compiled":
+                self._count_resumed(name)
+            finish(name, outcome)
 
-        admit_queue.extend(ready.take())
         while True:
-            while admit_queue:
-                admit(admit_queue.popleft())
-            if done_since_checkpoint:
-                self._checkpoint(builder, done_since_checkpoint)
-                done_since_checkpoint = []
+            while ready.has_ready() and failure is None:
+                admit(ready.pop())
+            if failure is not None:
+                raise failure
+            if done and self.journal is not None:
+                self._checkpoint(builder, done)
                 checkpoints += 1
                 if self.max_waves is not None \
                         and checkpoints >= self.max_waves:
                     return True  # simulated kill (test seam)
+            done.clear()
             if not active and not queue:
                 return False
             t = time.perf_counter()
@@ -491,18 +454,15 @@ class Supervisor:
                 for name in sorted(active):
                     _future, attempt, _deadline, reason = \
                         active.pop(name)
-                    settle(name, attempt, reason, compile_task(
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt)))
+                    compile_inline(name, attempt, reason)
                 continue
             deadlines = [entry[2] for entry in active.values()
                          if entry[2] is not None]
             timeout = 0.05
             if deadlines:
                 timeout = max(0.0, min(min(deadlines) - t, timeout))
-            finished, _ = wait([entry[0] for entry in active.values()],
-                               timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+            finished = wait_first([entry[0] for entry in active.values()],
+                                  timeout=timeout)
             t = time.perf_counter()
             for name in sorted(active):
                 future, attempt, deadline, reason = active[name]
@@ -517,7 +477,7 @@ class Supervisor:
                         self._degrade(f"{type(err).__name__}: {err}")
                         launch(name, attempt, reason)
                         continue
-                    settle(name, attempt, reason, result)
+                    land(name, attempt, reason, result)
                 elif deadline is not None and t >= deadline:
                     # A hung worker: abandon the attempt (stale result
                     # ignored) and schedule the unit like a failure.
@@ -528,155 +488,20 @@ class Supervisor:
                         meter.event("timeout", cat="supervise",
                                     unit=name, attempt=attempt,
                                     deadline=policy.timeout)
-                    settle(name, attempt, reason, CompileResult(
-                        name, error=(
-                            "TimeoutError",
-                            f"attempt {attempt} exceeded "
-                            f"{policy.timeout:.3f}s wall clock"),
-                        attempt=attempt))
+                    fail(name, attempt, reason, "TimeoutError",
+                         f"attempt {attempt} exceeded "
+                         f"{policy.timeout:.3f}s wall clock")
 
-    # -- supervised execution of one wave's compiles ----------------------
+    def _poisoned_import(self, graph: DepGraph, name: str) -> str | None:
+        for dep in graph.deps.get(name, ()):
+            if dep in self.dead:
+                return self.dead[dep]
+        return None
 
-    def _execute(self, builder, graph: DepGraph,
-                 pending: list[tuple[str, str]],
-                 wave_index: int) -> dict[str, CompileResult]:
-        """Run every pending compile to success or poison.
-
-        The scheduling state is small: ``active`` holds in-flight
-        futures (with their attempt number and deadline), ``queue``
-        holds attempts sleeping out a backoff.  Abandoned (timed-out)
-        futures simply leave ``active``; if the hung worker eventually
-        finishes, its result is never read -- stale attempts cannot
-        corrupt the build because the *applied* result is always the
-        one the supervisor settled on, and all attempts produce
-        identical intrinsic bytes anyway.
-        """
-        meter = self.meter
-        policy = self.policy
-        results: dict[str, CompileResult] = {}
-        active: dict[str, tuple] = {}  # name -> (future, attempt, deadline, reason)
-        queue: list[tuple] = []  # (resume_at, name, attempt, reason)
-
-        def settle(name: str, attempt: int, reason: str,
-                   result: CompileResult) -> None:
-            if result.error is None:
-                results[name] = result
-                return
-            exc_type, message = result.error
-            retryable = exc_type in policy.retryable
-            if retryable and attempt < policy.retries \
-                    and self.retry_spent < policy.retry_total:
-                self.retry_spent += 1
-                self.report.retries += 1
-                delay = min(policy.backoff_cap,
-                            policy.backoff_base * (2 ** attempt))
-                t = time.perf_counter()
-                if meter.enabled:
-                    meter.event("retry", cat="supervise", unit=name,
-                                attempt=attempt + 1, kind=exc_type,
-                                wave=wave_index)
-                    meter.complete_span("retry-backoff", t, t + delay,
-                                        cat="supervise",
-                                        track="supervisor", unit=name,
-                                        attempt=attempt + 1,
-                                        kind=exc_type)
-                queue.append((t + delay, name, attempt + 1, reason))
-            else:
-                self._poison(builder, name, exc_type, message, attempt,
-                             retryable)
-
-        def launch(name: str, attempt: int, reason: str) -> None:
-            if self.executor is None:
-                settle(name, attempt, reason, compile_task(
-                    _make_task(builder, graph, name, self.faults,
-                               attempt=attempt)))
-                return
-            deadline = (time.perf_counter() + policy.timeout
-                        if policy.timeout is not None else None)
-            while self.executor is not None:
-                try:
-                    future = self.executor.submit(
-                        compile_task,
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt))
-                    active[name] = (future, attempt, deadline, reason)
-                    return
-                except BaseException as err:
-                    self._degrade(f"submit failed: "
-                                  f"{type(err).__name__}: {err}")
-            # Degraded all the way to inline: run it here.
-            settle(name, attempt, reason, compile_task(
-                _make_task(builder, graph, name, self.faults,
-                           attempt=attempt)))
-
-        for name, reason in pending:
-            if meter.enabled:
-                meter.event("dispatch", cat="sched", unit=name,
-                            wave=wave_index)
-            launch(name, 0, reason)
-
-        while active or queue:
-            t = time.perf_counter()
-            due = [item for item in queue if item[0] <= t]
-            if due:
-                queue[:] = [item for item in queue if item[0] > t]
-                for _at, name, attempt, reason in due:
-                    launch(name, attempt, reason)
-                continue
-            if not active:
-                time.sleep(max(0.0, min(
-                    min(item[0] for item in queue) - t, 0.05)))
-                continue
-            if self.executor is None:
-                # Degraded to inline mid-wave: drain synchronously.
-                for name in sorted(active):
-                    _future, attempt, _deadline, reason = active.pop(name)
-                    settle(name, attempt, reason, compile_task(
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt)))
-                continue
-            deadlines = [entry[2] for entry in active.values()
-                         if entry[2] is not None]
-            timeout = 0.05
-            if deadlines:
-                timeout = max(0.0, min(min(deadlines) - t, timeout))
-            finished, _ = wait([entry[0] for entry in active.values()],
-                               timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-            t = time.perf_counter()
-            for name in list(active):
-                future, attempt, deadline, reason = active[name]
-                if future in finished:
-                    del active[name]
-                    try:
-                        result = future.result()
-                    except BaseException as err:
-                        # The pool itself died mid-flight: degrade the
-                        # tier and rerun this very attempt (not charged
-                        # to the unit's retry budget -- the unit never
-                        # got to fail).
-                        self._degrade(f"{type(err).__name__}: {err}")
-                        launch(name, attempt, reason)
-                        continue
-                    settle(name, attempt, reason, result)
-                elif deadline is not None and t >= deadline:
-                    # A hung worker: abandon the attempt (stale result
-                    # ignored) and schedule the unit like a failure.
-                    del active[name]
-                    future.cancel()
-                    self.report.timeouts += 1
-                    if meter.enabled:
-                        meter.event("timeout", cat="supervise",
-                                    unit=name, attempt=attempt,
-                                    wave=wave_index,
-                                    deadline=policy.timeout)
-                    settle(name, attempt, reason, CompileResult(
-                        name, error=(
-                            "TimeoutError",
-                            f"attempt {attempt} exceeded "
-                            f"{policy.timeout:.3f}s wall clock"),
-                        attempt=attempt))
-        return results
+    def _count_resumed(self, name: str) -> None:
+        if self.resume and self.journal is not None \
+                and name in self.journal.completed:
+            self.report.resumed += 1
 
     # -- casualties -------------------------------------------------------
 
@@ -736,10 +561,8 @@ class Supervisor:
     # -- checkpointing ----------------------------------------------------
 
     def _checkpoint(self, builder, done: list[str]) -> None:
-        """Persist the wave: store save + journal update.  Best effort
-        -- a full disk costs resumability, never the build."""
-        if self.checkpoint_dir is None or self.journal is None:
-            return
+        """Persist a quiet point: store save + journal update.  Best
+        effort -- a full disk costs resumability, never the build."""
         try:
             builder.store.save_directory(self.checkpoint_dir)
         except StoreError as err:
@@ -763,23 +586,20 @@ def supervised_build(builder, jobs: int = 2, pool: str = "process",
                      checkpoint_dir: str | None = None,
                      max_waves: int | None = None,
                      executor_factory=make_executor,
-                     schedule: str = "wavefront",
                      offer_key=None) -> BuildReport:
     """Bring ``builder``'s project up to date under supervision.
 
-    The fault-tolerant sibling of
-    :func:`repro.cm.parallel.parallel_build`: same schedules
-    (``"wavefront"`` barriers or per-unit ``"ready"`` dispatch), same
-    decide seam, same byte-identical results -- but worker failures
-    retry with backoff, hung workers time out and reschedule, poison
-    units take down only their dependents, a dying pool degrades
-    instead of aborting, and (with a ``checkpoint_dir``) the build is
-    resumable after a kill.
+    The same engine as :func:`repro.cm.parallel.parallel_build` -- same
+    ready set, same decide seam, same byte-identical results -- but
+    worker failures retry with backoff, hung workers time out and
+    reschedule, poison units take down only their dependents, a dying
+    pool degrades instead of aborting, and (with a ``checkpoint_dir``)
+    the build is resumable after a kill.
     """
     supervisor = Supervisor(jobs=jobs, pool=pool, faults=faults,
                             policy=policy, resume=resume,
                             checkpoint_dir=checkpoint_dir,
                             max_waves=max_waves,
                             executor_factory=executor_factory,
-                            schedule=schedule, offer_key=offer_key)
+                            offer_key=offer_key)
     return supervisor.build(builder)

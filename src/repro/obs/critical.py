@@ -5,10 +5,10 @@
   the thing to shorten before adding workers helps.
 - :func:`phase_rollup`: total seconds and call counts per span name.
 - :func:`worker_occupancy`: busy seconds per track, for judging how
-  well a wavefront schedule kept the pool fed.
+  well the ready-set scheduler kept the pool fed.
 - :func:`worker_idle`: the schedule-quality rollup -- worker-compile
-  busy seconds vs ``jobs x build wall``, the number the ready-set
-  scheduler exists to improve over wave barriers.
+  busy seconds vs ``jobs x build wall``, the number offer keys such as
+  longest-first exist to improve.
 - :func:`request_rollup`: daemon request analytics from the
   ``daemon-request`` spans on the ``daemon`` track (count, coalesced
   joins, latency spread).
@@ -103,10 +103,10 @@ def worker_idle(tracer, jobs: int) -> dict:
     span's wall clock.  Busy time is the per-track interval *union*:
     when retries or abandoned attempts overlap on one track they count
     once, and ``occupancy`` is clamped to 1.0 -- a schedule can fill
-    its capacity, never exceed it.  Wave barriers leave occupancy low
-    on unbalanced graphs (every wave waits for its slowest unit);
-    ready-set dispatch exists to raise it.  Durations only -- no
-    claims when the tracer saw no build.
+    its capacity, never exceed it.  Unbalanced graphs leave it low
+    when a long unit is dispatched late; offer keys such as
+    longest-first exist to raise it.  Durations only -- no claims when
+    the tracer saw no build.
     """
     by_track: dict[str, list[tuple[float, float]]] = {}
     compiles = 0

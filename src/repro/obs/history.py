@@ -133,7 +133,8 @@ class BuildProfile:
     seq: int = 0
     group: str = ""
     manager: str = ""
-    schedule: str = "wavefront"
+    #: Always "ready" for new profiles; older ones may say "wavefront".
+    schedule: str = "ready"
     jobs: int = 1
     pool: str = "serial"
     wall_seconds: float = 0.0

@@ -172,15 +172,42 @@ class TestGroupPrintArgument:
 
 class TestScheduleAndServe:
     def test_ready_schedule_builds(self, srcdir, capsys):
-        assert main([srcdir, "--schedule", "ready", "--jobs", "2",
-                     "--no-link"]) == 0
+        assert main([srcdir, "--jobs", "2", "--no-link"]) == 0
         assert "2 compiled" in capsys.readouterr().out
 
     def test_ready_schedule_incremental(self, srcdir, capsys):
-        assert main([srcdir, "--schedule", "ready", "--no-link"]) == 0
+        assert main([srcdir, "--no-link"]) == 0
         capsys.readouterr()
-        assert main([srcdir, "--schedule", "ready", "--no-link"]) == 0
+        assert main([srcdir, "--no-link"]) == 0
         assert "0 compiled, 2 loaded" in capsys.readouterr().out
+
+    def test_priority_longest_first_orders_dispatch(self, tmp_path,
+                                                     capsys):
+        """``--priority`` applies at every ``--jobs``, with no other
+        flag: the second build dispatches in longest-first order of
+        the first build's recorded compile seconds."""
+        from repro.obs.history import BuildHistory, longest_first_key
+
+        proj = tmp_path / "prio"
+        proj.mkdir()
+        # Independent units whose size grows against name order, so
+        # longest-first and name order disagree.
+        for k, name in enumerate("abcd"):
+            body = " ".join(f"val v{i} = {i} + 1"
+                            for i in range(1 + 80 * k))
+            (proj / f"{name}.sml").write_text(
+                f"structure {name.upper()} = struct {body} end\n")
+        args = [str(proj), "--jobs", "2", "--pool", "thread",
+                "--priority", "longest-first", "--no-link"]
+        bin_dir = str(proj / ".bin")
+        assert main(args) == 0
+        key = longest_first_key(
+            BuildHistory(bin_dir).compile_seconds("cutoff"))
+        assert main(args) == 0
+        capsys.readouterr()
+        order = BuildHistory(bin_dir).latest("cutoff").dispatch_order
+        assert sorted(order) == ["a", "b", "c", "d"]
+        assert order == sorted(order, key=key)
 
     def test_serve_speaks_the_wire_protocol(self, srcdir, capsys,
                                             monkeypatch):

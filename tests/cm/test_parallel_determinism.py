@@ -2,7 +2,7 @@
 
 The contract under test: **a parallel build is byte-identical to a
 serial build.**  For every workload shape x jobs count x edit kind, the
-wavefront-parallel build must produce exactly the export pids and
+parallel build must produce exactly the export pids and
 exactly the on-disk store bytes (records, headers, MANIFEST.json) of
 the serial build -- and the same holds when the store the build starts
 from was damaged by an injected crash, a torn write, slow IO, or two
@@ -60,9 +60,9 @@ def store_files(store_dir):
 def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder,
                pool="thread"):
     """One full incremental flow: clean build + save, then (optionally)
-    edit + fresh session + rebuild + save.  ``jobs=0`` means the classic
-    serial loop; any other count goes through the wavefront scheduler
-    (jobs=1 runs the worker code inline -- same code path, no pool)."""
+    edit + fresh session + rebuild + save.  ``jobs=0`` means
+    ``builder.build()``; any other count goes through
+    :func:`parallel_build` (jobs=1 compiles inline -- no pool)."""
 
     def run(builder):
         if jobs == 0:
@@ -132,7 +132,7 @@ class TestDeterminismMatrix:
 
 class TestParallelBuildErrorPayload:
     """A failed worker must be attributable: the raised error carries
-    the unit that died and the wave it was scheduled in."""
+    the unit that died and the exception type that killed it."""
 
     def test_error_carries_unit_and_wave(self):
         workload = generate_workload(SHAPES["fanout"](),
@@ -143,9 +143,7 @@ class TestParallelBuildErrorPayload:
             parallel_build(builder, jobs=4, pool="thread", faults=faults)
         err = excinfo.value
         assert err.name == "u003"
-        assert err.wave == 1  # fanout: root is wave 0, leaves wave 1
         assert err.exc_type == "InjectedCrash"
-        assert "u003 (wave 1)" in str(err)
 
     def test_root_crash_is_wave_zero(self):
         workload = generate_workload(SHAPES["fanout"](),
@@ -154,7 +152,7 @@ class TestParallelBuildErrorPayload:
         faults = WorkerFaults(crash_units=frozenset({"u000"}))
         with pytest.raises(ParallelBuildError) as excinfo:
             parallel_build(builder, jobs=2, pool="thread", faults=faults)
-        assert (excinfo.value.name, excinfo.value.wave) == ("u000", 0)
+        assert excinfo.value.name == "u000"
 
 
 class TestDeterminismUnderFaults:

@@ -1,6 +1,6 @@
 """Property tests for ready-set dispatch.
 
-Three claims, over arbitrary DAGs:
+Four claims, over arbitrary DAGs:
 
 1. The :class:`ReadySet` state machine itself is sound: every unit is
    offered exactly once, never before all its in-graph imports
@@ -8,14 +8,18 @@ Three claims, over arbitrary DAGs:
 2. A ready-set build's recorded ``dispatch_order`` is a linear
    extension of the dependency graph -- no unit is decided before its
    imports -- and covers every unit exactly once.
-3. On random DAGs, a ready-set build produces the same final store
-   bytes and export pids as wavefront scheduling (and hence, by PR 3's
-   matrix, as a serial build).
+3. A ``jobs=1`` build is the classic serial build: it dispatches
+   exactly ``graph.order`` and compiles in the parent session, never
+   through the worker code (``compile_task`` / ``_apply_result``).
+4. A pooled ``jobs=4`` build produces the same final store bytes and
+   export pids as that ``jobs=1`` build (and hence, by the matrix in
+   ``tests/cm/test_parallel_determinism.py``, as every jobs count).
 """
 
 import os
 import shutil
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -133,8 +137,7 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
         deps_by_index):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = parallel_build(builder, jobs=4, pool="inline",
-                            schedule="ready")
+    report = parallel_build(builder, jobs=4, pool="inline")
     graph = builder.last_graph
     order = report.dispatch_order
     assert sorted(order) == sorted(graph.order)
@@ -146,20 +149,50 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
 
 
 @given(dags)
+@settings(max_examples=10, deadline=None)
+def test_serial_build_dispatches_graph_order_inline(deps_by_index):
+    import repro.cm.supervise as engine  # calls both by module global
+
+    calls = {"compile_task": 0, "_apply_result": 0}
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return mock.patch.object(engine, name, counted)
+
+    workload = generate_workload(deps_by_index, helpers_per_unit=1)
+    builder = CutoffBuilder(workload.project)
+    with counting("compile_task"), counting("_apply_result"):
+        report = builder.build()
+    assert report.dispatch_order == builder.last_graph.order
+    assert len(report.compiled) == len(builder.last_graph.order)
+    assert report.pool == "inline"
+    assert calls == {"compile_task": 0, "_apply_result": 0}
+
+
+@given(dags)
 @settings(max_examples=8, deadline=None)
 def test_ready_build_matches_wavefront_store_bytes(deps_by_index):
-    def flow(schedule, store_dir):
+    """A pooled jobs=4 build against the jobs=1 build (the name is kept
+    from when this compared against wavefront dispatch)."""
+    def flow(jobs, store_dir):
+        def run(builder):
+            if jobs == 1:
+                return builder.build()
+            return parallel_build(builder, jobs=jobs, pool="thread")
+
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        parallel_build(builder, jobs=4, pool="thread",
-                       schedule=schedule)
+        run(builder)
         builder.store.save_directory(store_dir)
         # Incremental pass too: edit the root, rebuild warm-store.
         workload.edit_interface("u000")
         builder = CutoffBuilder(workload.project,
                                 store=BinStore.load_directory(store_dir))
-        parallel_build(builder, jobs=4, pool="thread",
-                       schedule=schedule)
+        run(builder)
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
         files = {}
@@ -172,8 +205,8 @@ def test_ready_build_matches_wavefront_store_bytes(deps_by_index):
 
     base = tempfile.mkdtemp(prefix="readyprop-")
     try:
-        wave = flow("wavefront", os.path.join(base, "wave"))
-        ready = flow("ready", os.path.join(base, "ready"))
-        assert ready == wave
+        serial = flow(1, os.path.join(base, "serial"))
+        pooled = flow(4, os.path.join(base, "pooled"))
+        assert pooled == serial
     finally:
         shutil.rmtree(base, ignore_errors=True)
