@@ -7,9 +7,12 @@ build, a warm null build (same session), a cross-session null build
 (everything rehydrated from bins), and a one-unit touch rebuild.
 """
 
+import sys
 import time
 
+from repro.basis import make_basis
 from repro.cm import BinStore, CutoffBuilder
+from repro.lang import parser
 from repro.workload import generate_workload, layered
 
 from .conftest import print_table
@@ -18,34 +21,51 @@ from .conftest import print_table
 DEPS = layered([1, 20, 40, 60, 50, 25, 4], fan_in=3, seed=42)
 
 
-def test_full_vs_null_vs_touch(benchmark):
+def count_parses(monkeypatch) -> list:
+    """Count ``parse_program`` calls through every by-name import."""
+    make_basis()  # the process-wide basis parses its prelude once
+    calls = []
+    real = parser.parse_program
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "parse_program", None) is real:
+            monkeypatch.setattr(module, "parse_program", counting)
+    return calls
+
+
+def test_full_vs_null_vs_touch(benchmark, monkeypatch):
+    calls = count_parses(monkeypatch)
+
     def run():
         w = generate_workload(DEPS, helpers_per_unit=10)
         timings = {}
+        parses = {}
 
-        t0 = time.perf_counter()
+        def mode(label, build):
+            del calls[:]
+            t0 = time.perf_counter()
+            report = build()
+            timings[label] = time.perf_counter() - t0
+            parses[label] = len(calls)
+            return report
+
         s1 = CutoffBuilder(w.project)
-        cold_report = s1.build()
-        timings["cold build"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        warm_report = s1.build()
-        timings["warm null build"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
+        cold_report = mode("cold build", s1.build)
+        warm_report = mode("warm null build", s1.build)
         s2 = CutoffBuilder(w.project, store=s1.store)
-        load_report = s2.build()
-        timings["new-session null build"] = time.perf_counter() - t0
-
+        load_report = mode("new-session null build", s2.build)
         w.edit_implementation("u000")  # the root: worst case for make
-        t0 = time.perf_counter()
-        touch_report = s2.build()
-        timings["root impl-edit rebuild"] = time.perf_counter() - t0
+        touch_report = mode("root impl-edit rebuild", s2.build)
 
-        return (w, timings, cold_report, warm_report, load_report,
+        return (w, timings, parses, cold_report, warm_report, load_report,
                 touch_report)
 
-    (w, timings, cold, warm, load, touch) = benchmark.pedantic(
+    (w, timings, parses, cold, warm, load, touch) = benchmark.pedantic(
         run, rounds=1, iterations=1)
 
     n = len(DEPS)
@@ -53,10 +73,16 @@ def test_full_vs_null_vs_touch(benchmark):
     assert warm.compiled == [] and len(warm.cached) == n
     assert load.compiled == [] and len(load.loaded) == n
     assert touch.compiled == ["u000"]
+    # Deterministic counters beside the timings: each source is parsed
+    # once when first analyzed and never again while its digest holds
+    # (the new session analyzes every unit from its record's facts).
+    assert parses == {"cold build": n, "warm null build": 0,
+                      "new-session null build": 0,
+                      "root impl-edit rebuild": 1}
 
     rows = [
         ["project", f"~200 units / 65k lines",
-         f"{n} units / {w.total_lines()} lines"],
+         f"{n} units / {w.total_lines()} lines", ""],
         ["cold build", "32 min",
          f"{timings['cold build']:.2f} s ({n} compiled)"],
         ["warm null build", "(in-memory envs)",
@@ -67,8 +93,10 @@ def test_full_vs_null_vs_touch(benchmark):
          f"{timings['root impl-edit rebuild']:.2f} s "
          f"({len(touch.compiled)} compiled)"],
     ]
+    for row in rows[1:]:
+        row.append(parses[row[0]])
     print_table("T5: build modes at ~200-unit scale",
-                ["mode", "paper", "measured"], rows)
+                ["mode", "paper", "measured", "parses"], rows)
 
     # Shape assertions: loading dominates recompiling; touch << cold.
     assert timings["new-session null build"] < timings["cold build"]
@@ -76,6 +104,7 @@ def test_full_vs_null_vs_touch(benchmark):
     assert timings["warm null build"] < 0.2 * timings["cold build"]
     benchmark.extra_info["timings"] = {k: round(v, 3)
                                        for k, v in timings.items()}
+    benchmark.extra_info["parses"] = parses
 
 
 def test_build_scales_linearly(benchmark):

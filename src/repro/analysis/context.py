@@ -3,9 +3,10 @@
 The context wraps the project and an already-built
 :class:`~repro.cm.depend.DepGraph` and memoizes everything rules need:
 
-- parsed declarations come straight from ``graph.parsed`` (populated by
-  :func:`repro.cm.depend.analyze`, possibly from the builder's
-  dependency cache) -- the analyzer never re-parses a unit;
+- parsed declarations come from ``graph.decs`` (the ones
+  :func:`repro.cm.depend.analyze` or the build already parsed; a unit
+  analyzed from persisted dependency facts is parsed there, once) --
+  the analyzer never parses a unit twice;
 - token streams are lexed lazily, once per unit, purely to attach
   line/col spans to names (lexing is not parsing and is an order of
   magnitude cheaper);
@@ -59,7 +60,7 @@ class AnalysisContext:
         return list(self.graph.order)
 
     def decs(self, unit: str):
-        return self.graph.parsed[unit]
+        return self.graph.decs(unit)
 
     def tokens(self, unit: str) -> list:
         toks = self._tokens.get(unit)

@@ -48,8 +48,10 @@ def analyze_project(project: Project, graph: DepGraph | None = None,
         project: the sources.
         graph: an already-built dependency graph (skips re-analysis).
         cache: a dependency cache to share with ``depend.analyze`` (a
-            builder's ``_dep_cache``); with a warm cache the analyzer
-            performs no parsing at all.
+            builder's ``_dep_cache``); when the cache holds every
+            unit's parsed declarations the analyzer performs no parsing
+            at all (units it knows only from persisted facts are parsed
+            once, for the rules).
         config: rule tunables and an optional rule-code subset.
     """
     config = config if config is not None else AnalysisConfig()

@@ -38,9 +38,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.lang import ast
-from repro.lang.freevars import (MODULE_NAMESPACES, Mentions,
-                                 defined_module_names,
-                                 module_level_mentions)
+from repro.lang.freevars import (  # noqa: F401  (binding_key re-exported)
+    MODULE_NAMESPACES, binding_key, defined_module_names, module_keys,
+    module_level_mentions, split_binding_key)
 
 
 @dataclass(frozen=True)
@@ -286,24 +286,13 @@ class _Scanner:
 # -- use/def sets --------------------------------------------------------
 
 
-def binding_key(ns: str, name: str) -> str:
-    """The canonical ``"ns:name"`` spelling of a module-level binding --
-    the key format of ``DepGraph.uses``, of bin-record ``binding_pids``
-    / ``used_bindings``, and of the ledger's binding checks."""
-    return f"{ns}:{name}"
-
-
-def split_binding_key(key: str) -> tuple[str, str]:
-    """Inverse of :func:`binding_key`."""
-    ns, _, name = key.partition(":")
-    return ns, name
-
-
-def uses_from_mentions(mentions: Mentions, providers: dict[str, str],
+def uses_from_mentions(mentions, providers: dict[str, str],
                        self_name: str) -> dict[str, set[str]]:
     """The conservative use-set: provider unit -> the binding keys of
     ``providers`` that ``mentions`` references.
 
+    ``mentions`` are a unit's unresolved module-level mentions as
+    ``"ns:name"`` keys (the ``mentions`` half of its dependency facts);
     ``providers`` maps a module-level name to its defining unit (the
     dependency analyzer's provider table); mentions resolving to
     ``self_name`` are dropped (a unit does not use itself).  This is THE
@@ -313,12 +302,10 @@ def uses_from_mentions(mentions: Mentions, providers: dict[str, str],
     build and the analyzer can never disagree about what a unit uses.
     """
     uses: dict[str, set[str]] = {}
-    for ns in MODULE_NAMESPACES:
-        for module_name in getattr(mentions, ns):
-            provider = providers.get(module_name)
-            if provider is not None and provider != self_name:
-                uses.setdefault(provider, set()).add(
-                    binding_key(ns, module_name))
+    for key in mentions:
+        provider = providers.get(split_binding_key(key)[1])
+        if provider is not None and provider != self_name:
+            uses.setdefault(provider, set()).add(key)
     return uses
 
 
@@ -339,7 +326,10 @@ class UseDefAnalysis:
 
     @classmethod
     def of_graph(cls, graph) -> "UseDefAnalysis":
-        return cls(dict(graph.parsed))
+        """Over every unit of ``graph`` (parsing, through
+        :meth:`~repro.cm.depend.DepGraph.decs`, any unit it analyzed
+        from persisted facts)."""
+        return cls({name: graph.decs(name) for name in graph.deps})
 
     @property
     def units(self) -> list[str]:
@@ -385,7 +375,8 @@ class UseDefAnalysis:
             name_providers = {name: owner for (_ns, name), owner
                               in self.providers().items()}
             out = uses_from_mentions(
-                module_level_mentions(self.decs_by_unit[unit]),
+                module_keys(module_level_mentions(self.decs_by_unit[unit])
+                            .module_names()),
                 name_providers, unit)
             self._uses[unit] = out
         return out

@@ -352,6 +352,8 @@ def _build_directory(args, tracer):
         print(f"total build time: {total:.3f}s "
               f"(compile {sum(t.compile_total() for _n, t in times):.3f}s, "
               f"hash+pickle {sum(t.overhead_total() for _n, t in times):.3f}s)")
+        print(f"dependency analysis: "
+              f"{report.phase_totals()['analyze']:.3f}s")
 
     if args.analyze:
         rc = _run_analysis(project, builder.last_graph,
@@ -409,6 +411,10 @@ def _emit_trace(args, tracer, builder, report) -> int:
         if chain:
             print(f"critical path ({chain_seconds * 1e3:.1f} ms): "
                   + " -> ".join(chain))
+        if report is not None:
+            print("phase totals: " + ", ".join(
+                f"{phase} {seconds * 1e3:.1f} ms"
+                for phase, seconds in report.phase_totals().items()))
 
     if args.trace_out:
         if getattr(args, "trace_format", "chrome") == "otlp":

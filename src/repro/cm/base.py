@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from repro.cm.depend import DepGraph, analyze
 from repro.cm.project import Project
 from repro.cm.report import BuildReport, UnitOutcome
@@ -48,8 +50,9 @@ class BaseBuilder:
         self.last_graph: DepGraph | None = None
         self.restrict = restrict
         self.visible = visible
-        #: Dependency-analysis memo, keyed by unit and source text (§9:
-        #: the IRM caches per-file dependency information).
+        #: Dependency-analysis memo, keyed by source digest (§9: the IRM
+        #: caches per-file dependency information); seeded from the bin
+        #: records' persisted facts.
         self._dep_cache: dict = {}
         #: Stable-library archives pending load, and the module-provider
         #: map of every stable unit already loaded.
@@ -103,6 +106,15 @@ class BaseBuilder:
             raise err.__cause__ from None  # an inline compile's own error
 
     def analyze(self) -> DepGraph:
+        """The dependency graph of the current sources.  A unit whose bin
+        record carries dependency facts for its current source digest
+        is analyzed from those facts, without parsing; a record for a
+        stale source never matches (the cache is keyed by digest)."""
+        for name in self.store.names():
+            record = self.store.get(name)
+            if record.dep_facts is not None:
+                self._dep_cache.setdefault(record.source_digest,
+                                           (record.dep_facts, None))
         graph = analyze(self.project, restrict=self.restrict,
                         visible=self.visible, cache=self._dep_cache,
                         extra_providers=self._stable_providers)
@@ -287,9 +299,16 @@ class BaseBuilder:
 
     def compile(self, name: str, imports: list[CompiledUnit],
                 reason: str) -> UnitOutcome:
+        """Compile ``name`` inline, from the declarations the dependency
+        analysis parsed (parsing here only if it was analyzed from
+        persisted facts)."""
         source = self.project.source(name)
+        t0 = time.perf_counter()
+        decs = self.last_graph.decs(name)
+        parse_s = time.perf_counter() - t0
         unit = compile_unit(name, source, imports, self.session,
-                            meter=self.meter)
+                            meter=self.meter, decs=decs)
+        unit.times.parse = parse_s
         previous = self.store.get(name)
         pid_changed = previous is None or previous.export_pid != unit.export_pid
         self.units[name] = unit
@@ -297,6 +316,7 @@ class BaseBuilder:
         return UnitOutcome(name, "compiled", reason, pid_changed, unit.times)
 
     def make_record(self, name: str, unit: CompiledUnit) -> BinRecord:
+        facts = self._dep_cache.get(unit.source_digest)
         return BinRecord(
             name=name,
             source_digest=unit.source_digest,
@@ -305,6 +325,7 @@ class BaseBuilder:
             payload=unit.payload,
             built_at=self.project.clock,
             binding_pids=dict(unit.binding_pids),
+            dep_facts=facts[0] if facts is not None else None,
         )
 
     def load(self, name: str, record: BinRecord,

@@ -3,7 +3,10 @@
 "The IRM analyzes dependencies at several levels.  ... it uses the free
 structure names to determine which units each unit depends on."  We parse
 each unit, collect the module-level names it mentions but does not
-define, and resolve them to the units that define them.
+define, and resolve them to the units that define them.  Those per-unit
+facts (:func:`dep_facts`) are cached by source digest and persisted in
+each bin record, so an unchanged source is never parsed again just to
+re-derive its edges.
 
 Per the paper's footnote 4, the IRM requires separately compiled units to
 contain structures, functors and signatures -- not top-level values and
@@ -15,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang import ast
-from repro.lang.freevars import defined_module_names, module_level_mentions
+from repro.lang.freevars import (defined_module_names, module_keys,
+                                 module_level_mentions, split_binding_key)
 from repro.lang.parser import parse_program
 from repro.cm.project import Project
+from repro.units.pipeline import source_digest
 
 
 class DependencyError(Exception):
@@ -46,9 +51,11 @@ class DepGraph:
         deps: unit -> sorted list of units it imports.
         dependents: unit -> sorted list of units importing it.
         order: a topological order (imports before importers).
-        parsed: unit -> parsed declarations (reused by builders to avoid
-            a second parse; note builders re-parse at compile time anyway
-            to keep per-unit timings honest).
+        parsed: unit -> parsed declarations, for the units whose
+            declarations are in memory: parsed by this analysis, or
+            earlier in the same builder session.  A unit analyzed from
+            persisted dependency facts is absent until :meth:`decs`
+            parses it.
     """
 
     deps: dict[str, list[str]] = field(default_factory=dict)
@@ -58,6 +65,18 @@ class DepGraph:
     #: unit -> provider unit -> the "ns:name" keys it mentions; the smart
     #: builder's per-name dependency data.
     uses: dict[str, dict[str, set[str]]] = field(default_factory=dict)
+    #: The analyzed sources, for :meth:`decs` to parse on a miss.
+    project: Project | None = field(default=None, repr=False,
+                                    compare=False)
+
+    def decs(self, name: str) -> list[ast.Dec]:
+        """``name``'s parsed declarations, parsing its source on a miss
+        (the unit was analyzed from persisted facts)."""
+        decs = self.parsed.get(name)
+        if decs is None:
+            decs = self.parsed[name] = parse_program(
+                self.project.source(name))
+        return decs
 
     def transitive_dependents(self, name: str) -> set[str]:
         out: set[str] = set()
@@ -69,6 +88,18 @@ class DepGraph:
                     out.add(dep)
                     frontier.append(dep)
         return out
+
+
+def dep_facts(decs: list[ast.Dec]) -> dict[str, list[str]]:
+    """A unit's dependency facts, as persisted in its bin record header:
+    the module-level names it defines (``local``-private ones included)
+    and the ones it mentions but does not define, both as sorted
+    ``"ns:name"`` keys.  Mentions stay unresolved, so an unchanged unit
+    re-resolves them against whichever unit provides each name now."""
+    return {
+        "defines": module_keys(defined_module_names(decs)),
+        "mentions": module_keys(module_level_mentions(decs).module_names()),
+    }
 
 
 def analyze(project: Project, restrict: list[str] | None = None,
@@ -83,11 +114,15 @@ def analyze(project: Project, restrict: list[str] | None = None,
         visible: optional map unit -> set of units it may import; an edge
             outside the set is a :class:`DependencyError` (group/library
             visibility enforcement).
-        cache: optional per-builder dictionary; parse results and
-            name-mention analyses are memoized by source digest, so a
-            rebuild only re-analyzes edited files ("the dependency
-            information for each of the library's files [is] computed and
-            cached", §9).
+        cache: optional per-builder dictionary, source digest ->
+            ``(facts, decs)``: the :func:`dep_facts` of that source and
+            its parsed declarations, or None when the facts came from a
+            bin record.  A source whose digest is cached is not parsed,
+            so a rebuild -- or a new session seeded from the bin store
+            -- only re-analyzes edited files ("the dependency
+            information for each of the library's files [is] computed
+            and cached", §9).  Entries for sources no longer analyzed
+            are dropped.
         extra_providers: module name -> providing unit, for units that
             exist outside the project's sources (stable libraries); edges
             to them appear in ``deps`` but not in the build ``order``.
@@ -97,44 +132,37 @@ def analyze(project: Project, restrict: list[str] | None = None,
     from repro.analysis.scopes import uses_from_mentions
 
     names = restrict if restrict is not None else project.names()
-    graph = DepGraph()
+    graph = DepGraph(project=project)
+    cache = cache if cache is not None else {}
 
     #: module name -> defining unit
     providers: dict[str, str] = dict(extra_providers or {})
     external_units = set(providers.values())
-    mentions: dict[str, object] = {}
+    mentions: dict[str, list[str]] = {}
+    digests: set[str] = set()
     for name in names:
         source = project.source(name)
-        cached = cache.get(name) if cache is not None else None
-        if cached is not None and cached[0] == source:
-            _src, decs, defined, mentioned = cached
+        digest = source_digest(source)
+        digests.add(digest)
+        entry = cache.get(digest)
+        if entry is None:
+            decs = parse_program(source)
+            _check_module_only(name, decs)
+            entry = cache[digest] = (dep_facts(decs), decs)
+        facts, decs = entry
+        if decs is not None:
             graph.parsed[name] = decs
-            mentions[name] = mentioned
-            for _ns, module_names in defined.items():
-                for module_name in module_names:
-                    other = providers.get(module_name)
-                    if other is not None and other != name:
-                        raise DependencyError(
-                            f"module {module_name} is defined by both "
-                            f"{other} and {name}")
-                    providers[module_name] = name
-            continue
-        decs = parse_program(source)
-        _check_module_only(name, decs)
-        graph.parsed[name] = decs
-        defined = defined_module_names(decs)
-        for _ns, module_names in defined.items():
-            for module_name in module_names:
-                other = providers.get(module_name)
-                if other is not None and other != name:
-                    raise DependencyError(
-                        f"module {module_name} is defined by both {other} "
-                        f"and {name}")
-                providers[module_name] = name
-        mentioned = module_level_mentions(decs)
-        mentions[name] = mentioned
-        if cache is not None:
-            cache[name] = (source, decs, defined, mentioned)
+        mentions[name] = facts["mentions"]
+        for key in facts["defines"]:
+            module_name = split_binding_key(key)[1]
+            other = providers.get(module_name)
+            if other is not None and other != name:
+                raise DependencyError(
+                    f"module {module_name} is defined by both {other} "
+                    f"and {name}")
+            providers[module_name] = name
+    for digest in set(cache) - digests:
+        del cache[digest]
 
     for name in names:
         # The shared use-set computation (repro.analysis.scopes): the

@@ -60,6 +60,9 @@ class BuildReport:
     timeouts: int = 0
     degraded: int = 0
     resumed: int = 0
+    #: Seconds spent in the builder's dependency analysis (parsing the
+    #: sources not analyzed from cached or persisted facts included).
+    analyze_seconds: float = 0.0
 
     @property
     def failed(self) -> list[str]:
@@ -102,11 +105,15 @@ class BuildReport:
     # -- analytics --------------------------------------------------------
 
     def phase_totals(self) -> dict[str, float]:
-        """Seconds per pipeline phase, summed over every outcome."""
+        """Seconds per pipeline phase, summed over every outcome, plus
+        ``analyze``: the build's dependency analysis, which parses each
+        changed source once (its parse time is not in any unit's
+        ``parse``)."""
         totals = {phase: 0.0 for phase in PHASES}
         for outcome in self.outcomes:
             for phase in PHASES:
                 totals[phase] += getattr(outcome.times, phase)
+        totals["analyze"] = self.analyze_seconds
         return {phase: round(seconds, 6)
                 for phase, seconds in totals.items()}
 

@@ -78,6 +78,7 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
 from repro.cm.backend import lock_owner as _lock_owner  # noqa: F401
 from repro.cm.backend import record_stem as _record_stem
 from repro.cm.faults import REAL_FS, FileSystem
+from repro.lang.freevars import MODULE_NAMESPACES, split_binding_key
 from repro.obs.meter import NULL_METER, BuildMeter
 from repro.pids.crc128 import CRC128, crc128_hex
 
@@ -217,6 +218,11 @@ class BinRecord:
     #: An empty pid means the provider had no slice data at the time.
     used_bindings: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    #: The unit's dependency facts (:func:`repro.cm.depend.dep_facts`):
+    #: ``{"defines": [...], "mentions": [...]}``, sorted "ns:name" keys.
+    #: None on records written before facts were persisted: the unit's
+    #: source is then parsed to analyze it.
+    dep_facts: dict | None = None
 
 
 def _record_digest(header: dict, payload: bytes) -> str:
@@ -308,8 +314,15 @@ class BinStore:
             "extra": record.extra,
             "payload_crc": crc128_hex(record.payload),
         }
+        if record.dep_facts is not None:
+            header["dep_facts"] = record.dep_facts
         header["record_digest"] = _record_digest(header, record.payload)
         return header
+
+    def _header_bytes(self, record: BinRecord) -> bytes:
+        """A record's header file: compact JSON (readers only parse it)."""
+        return json.dumps(self._header_for(record),
+                          separators=(",", ":")).encode("utf-8")
 
     def _backend_for(self, path: str) -> StoreBackend:
         """The backend a save/checkpoint aimed at ``path`` should use:
@@ -384,8 +397,7 @@ class BinStore:
             for name in sorted(dirty):
                 record = self._records[name]
                 stem = escape_name(name)
-                header_bytes = json.dumps(
-                    self._header_for(record), indent=1).encode("utf-8")
+                header_bytes = self._header_bytes(record)
                 backend.put(stem, header_bytes, record.payload)
                 stats.records_written += 1
                 stats.bytes_written += len(record.payload) + len(header_bytes)
@@ -438,8 +450,7 @@ class BinStore:
         for name in sorted(dirty):
             record = self._records[name]
             stem = escape_name(name)
-            header_bytes = json.dumps(
-                self._header_for(record), indent=1).encode("utf-8")
+            header_bytes = self._header_bytes(record)
             rlock = backend.record_lock(stem, lock_timeout)
             rlock.acquire(required=True)
             try:
@@ -732,6 +743,14 @@ class BinStore:
                        "used_bindings is not a {provider: {key: pid}} "
                        "table")
             return None
+        # Dependency facts: absent on records written before they were
+        # persisted (the unit is then parsed); present, well-formed.
+        dep_facts = header.get("dep_facts")
+        if dep_facts is not None and not _is_dep_facts(dep_facts):
+            report.add(name, "malformed-header", header_file,
+                       'dep_facts is not {"defines": [key], '
+                       '"mentions": [key]}')
+            return None
 
         self._records[name] = BinRecord(
             name=name,
@@ -743,6 +762,7 @@ class BinStore:
             binding_pids=binding_pids,
             used_bindings=used_bindings,
             extra=header.get("extra", {}),
+            dep_facts=dep_facts,
         )
         return name
 
@@ -808,6 +828,23 @@ def _is_str_table(value) -> bool:
     return (isinstance(value, dict)
             and all(isinstance(k, str) and isinstance(v, str)
                     for k, v in value.items()))
+
+
+def _is_dep_facts(value) -> bool:
+    """Is ``value`` a dependency-facts table: exactly ``defines`` and
+    ``mentions``, each a list of ``"ns:name"`` module keys?"""
+    return (isinstance(value, dict)
+            and sorted(value) == ["defines", "mentions"]
+            and all(isinstance(keys, list)
+                    and all(_is_module_key(key) for key in keys)
+                    for keys in value.values()))
+
+
+def _is_module_key(key) -> bool:
+    if not isinstance(key, str):
+        return False
+    ns, name = split_binding_key(key)
+    return ns in MODULE_NAMESPACES and bool(name)
 
 
 def _read_manifest(backend: StoreBackend,

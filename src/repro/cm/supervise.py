@@ -238,7 +238,9 @@ class Supervisor:
                 with meter.span("stable-load", cat="build"):
                     builder._load_pending_stables(report)
             with meter.span("analyze", cat="build"):
+                t_analyze = time.perf_counter()
                 graph = builder.analyze()
+                report.analyze_seconds = time.perf_counter() - t_analyze
             self.executor, self.using = self.executor_factory(
                 self.jobs, self.pool)
             report.pool = self.using

@@ -75,6 +75,9 @@ def elab_strexp(el: Elaborator, strexp: ast.StrExp,
             strexp.info = "functor"
             return apply_functor_to_functor(el, functor, actual,
                                             strexp.line, name_hint)
+        # Reset, not just left unset: a build may re-elaborate the same
+        # parsed declarations against changed imports.
+        strexp.info = None
         arg = elab_strexp(el, strexp.arg, name_hint=f"{name_hint}$arg")
         return apply_functor(el, functor, arg, strexp.line,
                              name_hint=name_hint)

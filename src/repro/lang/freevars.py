@@ -153,3 +153,23 @@ def defined_module_names(decs: list[ast.Dec]) -> dict[str, set[str]]:
 
     scan(decs)
     return defined
+
+
+def binding_key(ns: str, name: str) -> str:
+    """The canonical ``"ns:name"`` spelling of a module-level binding --
+    the key format of ``DepGraph.uses``, of bin-record ``binding_pids``
+    / ``used_bindings`` / ``dep_facts``, and of the ledger's binding
+    checks."""
+    return f"{ns}:{name}"
+
+
+def split_binding_key(key: str) -> tuple[str, str]:
+    """Inverse of :func:`binding_key`."""
+    ns, _, name = key.partition(":")
+    return ns, name
+
+
+def module_keys(names_by_ns: dict[str, set[str]]) -> list[str]:
+    """A namespace -> names table as sorted :func:`binding_key` keys."""
+    return sorted(binding_key(ns, name)
+                  for ns, names in names_by_ns.items() for name in names)

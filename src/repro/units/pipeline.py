@@ -7,6 +7,7 @@ codeUnit``; ``execute_unit`` is ``execute : codeUnit × dynenv → dynenv``;
 
 from __future__ import annotations
 
+import functools
 import time
 
 from repro.dynamic.evaluate import eval_decs
@@ -36,19 +37,24 @@ def compile_unit(
     imports: list[CompiledUnit],
     session: Session,
     meter: BuildMeter = NULL_METER,
+    decs: list | None = None,
 ) -> CompiledUnit:
     """Parse, elaborate, hash and dehydrate one unit.
 
     ``imports`` are the already-compiled (or loaded) units this source
-    depends on, in dependency order.  Registers the unit's exports in the
-    session and returns the compiled unit.  ``meter`` observes the four
-    phases (and the dehydrated byte count) when tracing is on.
+    depends on, in dependency order.  ``decs`` are ``source``'s
+    declarations when the caller already parsed them (the build's
+    dependency analysis has); the parse phase is then skipped.
+    Registers the unit's exports in the session and returns the
+    compiled unit.  ``meter`` observes the phases (and the dehydrated
+    byte count) when tracing is on.
     """
     times = PhaseTimes()
 
     t0 = time.perf_counter()
-    with meter.span("parse", cat="phase", unit=name):
-        decs = parse_program(source)
+    if decs is None:
+        with meter.span("parse", cat="phase", unit=name):
+            decs = parse_program(source)
     t1 = time.perf_counter()
     with meter.span("elaborate", cat="phase", unit=name):
         context = layer_context(session, imports).child()
@@ -169,6 +175,13 @@ def execute_unit(
     return DynExport(unit.name, frame)
 
 
+@functools.lru_cache(maxsize=4096)
 def source_digest(source: str) -> str:
-    """Digest of the raw source text (make-level currency check)."""
+    """Digest of the raw source text (make-level currency check).
+
+    Memoized on the text: every build digests every source (the
+    dependency analysis keys its facts by digest, the currency check
+    compares record digests), and a long-lived builder sees the same
+    texts again and again -- re-read from disk as new strings, which a
+    dict lookup matches far faster than a re-digest."""
     return crc128_hex(source.encode("utf-8"))

@@ -4,6 +4,8 @@ guarantee."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -211,3 +213,27 @@ class TestBuildDriverIntegration:
     def test_strict_without_analyze_changes_nothing(self, dirty_dir,
                                                     capsys):
         assert cm_main([dirty_dir, "--strict", "--no-link"]) == 0
+
+    def test_analyze_over_a_facts_served_graph(self, dirty_dir):
+        """A second process analyzes every unit from its bin record's
+        persisted facts, without parsing; ``--analyze`` still sees
+        every unit's declarations and reports the same diagnostics."""
+
+        def run():
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(REPO, "src"), env.get("PYTHONPATH", "")])
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cm", dirty_dir, "--analyze",
+                 "--no-link"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            summary, _, diagnostics = result.stdout.partition(" cached\n")
+            return summary, diagnostics
+
+        first_summary, first = run()
+        second_summary, second = run()
+        assert "2 compiled" in first_summary
+        assert "2 loaded" in second_summary
+        assert "SC002" in first
+        assert second == first

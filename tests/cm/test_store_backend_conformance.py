@@ -124,6 +124,22 @@ class TestRoundTrip:
         assert report.compiled == []
         assert sorted(report.loaded) == sorted(SOURCES)
 
+    def test_dep_facts_round_trip(self, store_harness, clean_build):
+        """Persisted dependency facts survive placement, and a fresh
+        client analyzes every unit from them without parsing."""
+        builder, _pids, _payloads = clean_build
+        save_through(store_harness, builder)
+        fresh = store_harness.backend(fresh_cache=True)
+        store = BinStore.load_directory(fresh.root, backend=fresh)
+        for name in SOURCES:
+            facts = store.get(name).dep_facts
+            assert facts is not None, name
+            assert facts == builder.store.get(name).dep_facts, name
+        session = CutoffBuilder(Project.from_sources(SOURCES), store=store)
+        session.build()
+        assert session.last_graph.parsed == {}
+        assert session.last_graph.deps == builder.last_graph.deps
+
     def test_fsck_healthy_after_save(self, store_harness, clean_build):
         builder, _pids, _payloads = clean_build
         backend, _stats = save_through(store_harness, builder)
